@@ -1,8 +1,7 @@
 //! Criterion benchmark of end-to-end simulator throughput: bare
 //! simulated cycles/second, the same run under the full profiled
 //! observer set (golden reference plus the five sampling schemes), and
-//! the profiled run replaying a pre-captured instruction trace (the
-//! warm-trace-cache path of an experiment matrix).
+//! the profiled run replaying a pre-captured instruction trace.
 //!
 //! `tea-cli bench` measures the identical code paths and writes the
 //! tracked `BENCH_sim_throughput.json` artifact; this harness exists so

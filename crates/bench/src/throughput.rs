@@ -17,15 +17,11 @@
 //! timed in a third configuration:
 //!
 //! * **replay** — the profiled configuration fed from a pre-captured
-//!   [`CapturedTrace`] instead of the live interpreter, i.e. what every
-//!   warm-cache cell of an experiment matrix pays;
+//!   [`CapturedTrace`] instead of the live interpreter. The experiment
+//!   engine no longer replays (every cell interprets live); the column
+//!   stays as a measurement of the capture/replay layer.
 //!
-//! and the report carries a whole-suite **matrix** measurement
-//! ([`measure_matrix`]): one multi-seed experiment matrix (several
-//! cells per workload) run through `tea_exp::Engine` with the trace
-//! cache off, then against a warm caller-owned cache
-//! (`Engine::run_with_cache`), so the interpret-vs-replay win shows up
-//! as end-to-end wall clock. Results are written to
+//! Results are written to
 //! `BENCH_sim_throughput.json` at the workspace root in a stable schema
 //! (`tea-bench-throughput/v1`) so the release-to-release trajectory is
 //! machine-trackable; see [`render_artifact`].
@@ -36,7 +32,6 @@ use std::time::Instant;
 use tea_core::golden::GoldenReference;
 use tea_core::observers::ProfiledObservers;
 use tea_exp::json::Json;
-use tea_exp::{Engine, Matrix};
 use tea_isa::CapturedTrace;
 use tea_sim::core::Core;
 use tea_sim::SimConfig;
@@ -67,8 +62,7 @@ pub struct WorkloadThroughput {
     /// flight-recorder sampler ([`tea_obs::series::Sampler`]) running at
     /// its default interval — what a suite run with `--series-out` pays.
     pub sampled_wall: f64,
-    /// Wall time of one trace capture (the cost a matrix pays once per
-    /// workload before replay starts paying off).
+    /// Wall time of one trace capture.
     pub capture_wall: f64,
     /// Best wall time of decoding every compressed block of the
     /// captured trace into reconstructed instructions — the pure codec
@@ -81,8 +75,7 @@ pub struct WorkloadThroughput {
     /// cost of publishing a shared golden, which a matrix pays once per
     /// `(program, config)` pair.
     pub golden_wall: f64,
-    /// Resident heap bytes of the compressed captured trace (what a
-    /// trace-cache entry for this workload costs).
+    /// Resident heap bytes of the compressed captured trace.
     pub trace_resident_bytes: u64,
     /// Bytes the same stream occupied in the uncompressed
     /// structure-of-arrays layout (21 B per captured instruction).
@@ -171,59 +164,6 @@ pub struct ThroughputReport {
     pub iterations: u32,
     /// Per-workload measurements.
     pub workloads: Vec<WorkloadThroughput>,
-    /// Whole-suite matrix wall clock, trace cache off vs on.
-    pub matrix: MatrixThroughput,
-}
-
-/// End-to-end wall clock of one multi-seed experiment matrix run
-/// through the engine twice: interpreting every cell live
-/// (`trace_cache(false)`) and against a warm caller-owned cache
-/// (`Engine::run_with_cache` after an untimed warming run), where
-/// every cell replays its workload's shared capture and all golden
-/// references are already published.
-#[derive(Clone, Debug)]
-pub struct MatrixThroughput {
-    /// Cells per workload (the seed-axis width).
-    pub cells_per_workload: u64,
-    /// Total cells in the matrix.
-    pub cells: u64,
-    /// Best wall time with the trace cache off (seconds).
-    pub interpret_wall: f64,
-    /// Best wall time against the warm cache (seconds).
-    pub replay_wall: f64,
-}
-
-impl MatrixThroughput {
-    /// Whole-suite speedup of the warm trace cache over per-cell live
-    /// interpretation. Returns 0.0 when the replay wall time is zero or
-    /// non-finite (a degraded measurement, e.g. a sub-resolution
-    /// timer); the JSON artifact reports such a measurement as `null`
-    /// rather than a number (see [`MatrixThroughput::to_json`]).
-    #[must_use]
-    pub fn warm_speedup(&self) -> f64 {
-        if self.replay_wall.is_finite() && self.replay_wall > 0.0 {
-            let r = self.interpret_wall / self.replay_wall;
-            if r.is_finite() {
-                return r;
-            }
-        }
-        0.0
-    }
-
-    /// The measurement as the artifact's `matrix` object.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("cells_per_workload", Json::UInt(self.cells_per_workload)),
-            ("cells", Json::UInt(self.cells)),
-            ("interpret_wall_seconds", Json::Num(self.interpret_wall)),
-            ("replay_wall_seconds", Json::Num(self.replay_wall)),
-            (
-                "warm_speedup",
-                json_ratio(self.interpret_wall, self.replay_wall),
-            ),
-        ])
-    }
 }
 
 impl ThroughputReport {
@@ -301,8 +241,7 @@ impl ThroughputReport {
         }
     }
 
-    /// Total resident bytes of all compressed captured traces — the
-    /// trace-cache footprint of running the whole suite warm.
+    /// Total resident bytes of all compressed captured traces.
     #[must_use]
     pub fn total_trace_resident_bytes(&self) -> u64 {
         self.workloads.iter().map(|w| w.trace_resident_bytes).sum()
@@ -353,10 +292,6 @@ impl ThroughputReport {
                     self.workloads.iter().map(|w| w.sampled_wall).sum(),
                     self.workloads.iter().map(|w| w.profiled_wall).sum(),
                 ),
-            ),
-            (
-                "matrix_warm_speedup",
-                json_ratio(self.matrix.interpret_wall, self.matrix.replay_wall),
             ),
             (
                 "trace_resident_bytes",
@@ -441,8 +376,7 @@ pub fn profiled_run(w: &Workload, interval: u64, seed: u64) -> (u64, u64) {
 
 /// [`profiled_run`] over the replay path: the same observer set, the
 /// same timing model, but the instruction stream comes from `trace`
-/// instead of the live interpreter — what a warm-trace-cache matrix
-/// cell executes.
+/// instead of the live interpreter.
 #[must_use]
 pub fn profiled_replay_run(
     program: &tea_isa::program::Program,
@@ -523,8 +457,8 @@ pub fn measure_workload(
         Arc::new(CapturedTrace::capture_default(&w.program).expect("benchmark workloads halt"));
     let capture_wall = t0.elapsed().as_secs_f64();
     // Pure block-decode sweep: every compressed block reconstructed
-    // into a reused buffer, no timing model attached. This is the codec
-    // share every warm replay cell pays on top of simulation.
+    // into a reused buffer, no timing model attached: the codec share
+    // of a replay run.
     let mut decode_wall = f64::INFINITY;
     let mut buf = Vec::new();
     for _ in 0..iters {
@@ -566,61 +500,6 @@ pub fn measure_workload(
     }
 }
 
-/// Seeds of the whole-suite matrix measurement: four cells per
-/// workload, the smallest matrix where capture cost must amortize.
-pub const MATRIX_SEEDS: [u64; 4] = [11, 29, 42, 97];
-
-/// Measures one experiment matrix (`workloads` × [`MATRIX_SEEDS`], the
-/// full scheme set and golden reference on every cell) end to end
-/// through a serial [`Engine`]: once interpreting every cell live
-/// (`trace_cache(false)`) and once against a **warm** caller-owned
-/// [`tea_exp::TraceCache`] — an untimed warming run captures every
-/// trace and publishes every golden reference, then the timed runs
-/// replay throughout (`Engine::run_with_cache`). Serial, so the
-/// comparison measures the replay path rather than scheduling.
-#[must_use]
-pub fn measure_matrix(
-    workloads: &[Workload],
-    interval: u64,
-    iters: u32,
-    cfg: &SimConfig,
-) -> MatrixThroughput {
-    let cells = Matrix::new()
-        .workloads(workloads.to_vec())
-        .configs(vec![("default", cfg.clone())])
-        .intervals(&[interval])
-        .seeds(&MATRIX_SEEDS)
-        .cells();
-    let engine = Engine::serial().quiet().trace_cache(false);
-    let mut interpret_wall = f64::INFINITY;
-    for _ in 0..iters.max(1) {
-        let t0 = Instant::now();
-        let run = engine.run("bench-matrix", cells.clone());
-        interpret_wall = interpret_wall.min(t0.elapsed().as_secs_f64());
-        assert!(run.all_ok(), "benchmark matrix cells must complete");
-    }
-    let engine = Engine::serial().quiet();
-    let cache = tea_exp::TraceCache::new();
-    // Warming run (untimed): captures every workload's trace and
-    // publishes every (program, config) golden reference.
-    assert!(engine
-        .run_with_cache("bench-matrix", cells.clone(), &cache)
-        .all_ok());
-    let mut replay_wall = f64::INFINITY;
-    for _ in 0..iters.max(1) {
-        let t0 = Instant::now();
-        let run = engine.run_with_cache("bench-matrix", cells.clone(), &cache);
-        replay_wall = replay_wall.min(t0.elapsed().as_secs_f64());
-        assert!(run.all_ok(), "benchmark matrix cells must complete");
-    }
-    MatrixThroughput {
-        cells_per_workload: MATRIX_SEEDS.len() as u64,
-        cells: cells.len() as u64,
-        interpret_wall,
-        replay_wall,
-    }
-}
-
 /// Measures a workload set at `interval`, `iters` repetitions each.
 #[must_use]
 pub fn measure_suite(
@@ -638,7 +517,6 @@ pub fn measure_suite(
             .iter()
             .map(|w| measure_workload(w, interval, crate::HARNESS_SEED, iters, cfg))
             .collect(),
-        matrix: measure_matrix(workloads, interval, iters, cfg),
     }
 }
 
@@ -686,7 +564,6 @@ pub fn render_artifact(report: &ThroughputReport, before: Option<Json>) -> Json 
         ("before", before),
         ("after", after),
         ("speedup", speedup),
-        ("matrix", report.matrix.to_json()),
         ("per_workload", report.workloads_json()),
     ])
 }
@@ -797,26 +674,8 @@ mod tests {
 
     #[test]
     fn degenerate_denominators_emit_null_not_nan() {
-        // A zero or sub-resolution replay wall must not smuggle
-        // NaN/inf into the artifact through Json::Num.
-        let m = MatrixThroughput {
-            cells_per_workload: 4,
-            cells: 0,
-            interpret_wall: 1.5,
-            replay_wall: 0.0,
-        };
-        assert_eq!(m.warm_speedup(), 0.0);
-        let doc = m.to_json();
-        assert_eq!(doc.get("warm_speedup"), Some(&Json::Null));
-
-        // Both walls zero (nothing measured): still null, not 0/0 NaN.
-        let z = MatrixThroughput {
-            interpret_wall: 0.0,
-            ..m
-        };
-        assert_eq!(z.warm_speedup(), 0.0);
-        assert_eq!(z.to_json().get("warm_speedup"), Some(&Json::Null));
-
+        // A zero or sub-resolution wall must not smuggle NaN/inf into
+        // the artifact through Json::Num.
         assert_eq!(json_ratio(1.0, 0.0), Json::Null);
         assert_eq!(json_ratio(0.0, 0.0), Json::Null);
         assert_eq!(json_ratio(1.0, f64::NAN), Json::Null);

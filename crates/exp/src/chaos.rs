@@ -1,9 +1,9 @@
-//! Deterministic chaos injection across the replay/artifact pipeline.
+//! Deterministic chaos injection across the engine/artifact pipeline.
 //!
 //! A [`ChaosInjector`] is a pure function from a seed to a set of
 //! faults: every decision is `splitmix64(seed, domain, key)` over a
-//! stable key (the program's content fingerprint, the cell's matrix
-//! index, the artifact write attempt), so a chaos run is exactly
+//! stable key (the cell's matrix index, the artifact write attempt),
+//! so a chaos run is exactly
 //! reproducible from its seed — the integration suite *recomputes* the
 //! injector's decisions to predict what each cell's status must be,
 //! and CI re-runs the same seeds forever.
@@ -11,13 +11,6 @@
 //! The injector is wired at the pipeline's trust boundaries, never
 //! into the logic under test:
 //!
-//! - **trace corruption** — [`TraceCache`](crate::TraceCache) flips
-//!   one byte of a freshly captured trace before publishing it,
-//!   manufacturing the bit-rot the block checksums exist to catch.
-//!   The victim cell must fall back to live interpretation and still
-//!   finish with status `ok`.
-//! - **capture failure** — the cache treats the program as
-//!   uncacheable; every cell of that program interprets live.
 //! - **observer panic** — the engine attaches an observer that panics
 //!   at a chosen cycle. Transient injections fire only on the first
 //!   attempt (the PR-2 retry loop recovers); persistent ones fire on
@@ -30,16 +23,14 @@
 //!   aborts after a partial temp write; the retry must still land a
 //!   valid artifact and clean up the torn temp file.
 //!
-//! Rates are deliberately aggressive (roughly a quarter of programs /
-//! cells per seam) so even a three-cell CI suite exercises several
+//! Rates are deliberately aggressive (roughly a quarter of cells per
+//! seam) so even a three-cell CI suite exercises several
 //! seams per seed.
 
 use tea_sim::trace::{CycleView, Observer, RetiredInst};
 
 /// Decision domains, folded into the hash so the same key draws
 /// independently per seam.
-const DOMAIN_CAPTURE: u64 = 0x6361_7074;
-const DOMAIN_CORRUPT: u64 = 0x636f_7272;
 const DOMAIN_OBSERVER: u64 = 0x6f62_7356;
 const DOMAIN_JOURNAL: u64 = 0x6a6f_7572;
 const DOMAIN_ARTIFACT: u64 = 0x6172_7466;
@@ -87,32 +78,6 @@ impl ChaosInjector {
     /// The decision word for `(domain, key)`.
     fn roll(&self, domain: u64, key: u64) -> u64 {
         splitmix64(self.seed ^ splitmix64(domain ^ splitmix64(key)))
-    }
-
-    /// Whether the capture of the program fingerprinted `key` is
-    /// forced to fail (the program becomes uncacheable for the run).
-    #[must_use]
-    pub fn fail_capture(&self, program_key: u64) -> bool {
-        self.roll(DOMAIN_CAPTURE, program_key).is_multiple_of(4)
-    }
-
-    /// The byte flip, if any, applied to the freshly captured trace of
-    /// the program fingerprinted `key`: `(offset, xor_mask)` with
-    /// `offset < encoded_len` and a nonzero mask.
-    ///
-    /// Returns `None` for traces too small to corrupt meaningfully.
-    #[must_use]
-    pub fn corrupt_trace(&self, program_key: u64, encoded_len: usize) -> Option<(usize, u8)> {
-        if encoded_len == 0 {
-            return None;
-        }
-        let r = self.roll(DOMAIN_CORRUPT, program_key);
-        if r % 4 != 1 {
-            return None;
-        }
-        let offset = (self.roll(DOMAIN_CORRUPT, program_key ^ r) as usize) % encoded_len;
-        let mask = ((r >> 32) % 255 + 1) as u8;
-        Some((offset, mask))
     }
 
     /// The observer panic injected into matrix cell `cell_index`, if
@@ -181,16 +146,11 @@ mod tests {
         let a = ChaosInjector::new(7);
         let b = ChaosInjector::new(7);
         let c = ChaosInjector::new(8);
-        for key in 0..64u64 {
-            assert_eq!(a.fail_capture(key), b.fail_capture(key));
-            assert_eq!(a.corrupt_trace(key, 1024), b.corrupt_trace(key, 1024));
-            assert_eq!(
-                a.observer_fault(key as usize),
-                b.observer_fault(key as usize)
-            );
-            assert_eq!(a.tear_journal(key as usize), b.tear_journal(key as usize));
+        for key in 0..64usize {
+            assert_eq!(a.observer_fault(key), b.observer_fault(key));
+            assert_eq!(a.tear_journal(key), b.tear_journal(key));
         }
-        let differs = (0..64u64).any(|k| a.fail_capture(k) != c.fail_capture(k));
+        let differs = (0..64usize).any(|k| a.observer_fault(k) != c.observer_fault(k));
         assert!(differs, "different seeds must draw different faults");
     }
 
@@ -198,36 +158,18 @@ mod tests {
     fn every_seam_fires_for_some_small_seed_and_key() {
         // The CI matrix runs small seeds over few cells; the rates must
         // make every seam reachable there.
-        let keys = 0..8u64;
-        for seam in 0..4 {
+        let keys = 0..8usize;
+        for seam in 0..2 {
             let hit = (1..64u64).any(|seed| {
                 let inj = ChaosInjector::new(seed);
                 keys.clone().any(|k| match seam {
-                    0 => inj.fail_capture(k),
-                    1 => inj.corrupt_trace(k, 4096).is_some(),
-                    2 => inj.observer_fault(k as usize).is_some(),
-                    _ => inj.tear_journal(k as usize),
+                    0 => inj.observer_fault(k).is_some(),
+                    _ => inj.tear_journal(k),
                 })
             });
             assert!(hit, "seam {seam} unreachable for small seeds");
         }
         assert!((1..64u64).any(|s| ChaosInjector::new(s).fail_artifact_write(0)));
         assert!((1..64u64).all(|s| !ChaosInjector::new(s).fail_artifact_write(1)));
-    }
-
-    #[test]
-    fn corruption_offsets_stay_in_bounds_with_nonzero_masks() {
-        for seed in 1..32u64 {
-            let inj = ChaosInjector::new(seed);
-            for key in 0..32u64 {
-                for len in [1usize, 9, 100, 4096] {
-                    if let Some((offset, mask)) = inj.corrupt_trace(key, len) {
-                        assert!(offset < len);
-                        assert_ne!(mask, 0);
-                    }
-                }
-            }
-            assert_eq!(inj.corrupt_trace(0, 0), None);
-        }
     }
 }

@@ -14,8 +14,9 @@ use tea_sim::SimError;
 /// Why a cell failed (or was cut short).
 #[derive(Clone, Debug, PartialEq)]
 pub enum ExpError {
-    /// The cell's `SimConfig` was rejected before the core was built.
-    /// Never retried: validation is deterministic.
+    /// The cell's `SimConfig`, or a spec parameter its observers need
+    /// (a nonzero sampling interval), was rejected before the core was
+    /// built. Never retried: validation is deterministic.
     Config(SimError),
     /// The simulated program faulted architecturally mid-run.
     Sim(SimError),
@@ -84,11 +85,7 @@ impl ExpError {
     /// Whether retrying the cell could plausibly change the outcome.
     /// Deterministic failures (bad config, architectural faults, cycle
     /// budgets) are final; panics and injected faults may be transient
-    /// (a poisoned lock, an injected flake). Replay-trace integrity
-    /// failures arrive as [`ExpError::Sim`] and are likewise permanent:
-    /// re-decoding the same bytes cannot succeed, so the engine falls
-    /// back to live interpretation *within* the attempt instead of
-    /// burning retries.
+    /// (a poisoned lock, an injected flake).
     #[must_use]
     pub fn is_transient(&self) -> bool {
         matches!(self, ExpError::Panic { .. } | ExpError::Injected { .. })

@@ -6,11 +6,11 @@
 //! set, sampling interval, seed)` point each. Cells are shared-nothing:
 //! each one owns its program, its core, and its observers, so the
 //! engine fans them out across a scoped thread pool with no
-//! synchronization beyond handing out indices — except one read-only
-//! structure: a per-run [`TraceCache`] interprets each workload once
-//! and every cell of that workload replays the shared
-//! [`tea_isa::CapturedTrace`] (bit-identically; disable with
-//! [`Engine::trace_cache`]). All observers of a cell
+//! synchronization beyond handing out indices — except one shared
+//! structure: a per-run [`GoldenMemo`] lets every cell of one `(program,
+//! config)` pair reuse the first cell's finished golden reference
+//! (bit-identically; disable with [`Engine::trace_cache`]). Every cell
+//! interprets its program live. All observers of a cell
 //! ride one [`tea_sim::core::Core::run`] pass (the paper's out-of-band
 //! TraceDoctor methodology: every scheme samples the exact same
 //! cycles).
@@ -44,10 +44,10 @@
 pub mod artifact;
 pub mod chaos;
 pub mod error;
+pub mod golden_memo;
 pub mod journal;
 pub mod json;
 pub mod progress;
-pub mod trace_cache;
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -65,7 +65,6 @@ use tea_core::sampling::SampleTimer;
 use tea_core::schemes::Scheme;
 use tea_core::tip::{TipProfile, TipProfiler};
 use tea_isa::program::Program;
-use tea_isa::CapturedTrace;
 use tea_obs::{Level, Value};
 use tea_sim::core::{Core, SimStats};
 use tea_sim::psv::CommitState;
@@ -74,12 +73,12 @@ use tea_workloads::Workload;
 
 pub use chaos::{ChaosInjector, ObserverFault};
 pub use error::ExpError;
+pub use golden_memo::{GoldenMemo, TraceCache};
 pub use progress::{ProgressEvent, ProgressRecorder, ProgressSink, ProgressStream};
-pub use trace_cache::TraceCache;
 
 use chaos::ChaosObserver;
 
-use trace_cache::GoldenCheckout;
+use golden_memo::{lock_recover, GoldenCheckout};
 
 use journal::{spec_fingerprint, Journal, JournalEntry};
 use json::Json;
@@ -284,7 +283,7 @@ pub struct CellResult {
     pub stats: SimStats,
     /// The exact reference, when `spec.golden` was set. Behind an
     /// `Arc`: cells of one `(program, config)` pair share one finished
-    /// reference through the engine's trace cache, so a cell may hold
+    /// reference through the engine's golden memo, so a cell may hold
     /// the same allocation as its siblings.
     pub golden: Option<Arc<GoldenReference>>,
     /// The TIP baseline profile, when `spec.tip` was set.
@@ -415,8 +414,7 @@ pub struct Engine {
     backoff_cap: Duration,
     cell_budget: Option<u64>,
     fail_fast: bool,
-    trace_cache: bool,
-    trace_cache_budget: Option<u64>,
+    golden_sharing: bool,
     chaos: Option<Arc<ChaosInjector>>,
     progress_sinks: ProgressSinks,
     heartbeat: Duration,
@@ -456,8 +454,7 @@ impl Engine {
             backoff_cap: Duration::from_secs(2),
             cell_budget: None,
             fail_fast: false,
-            trace_cache: true,
-            trace_cache_budget: None,
+            golden_sharing: true,
             chaos: None,
             progress_sinks: ProgressSinks::default(),
             heartbeat: Duration::from_millis(250),
@@ -528,36 +525,24 @@ impl Engine {
         self
     }
 
-    /// Toggles the per-run captured-trace cache (default **on**): each
-    /// workload's functional execution is interpreted once and every
-    /// other cell replays the shared [`tea_isa::CapturedTrace`]. Replay
-    /// is bit-identical to live interpretation; disabling the cache
-    /// (`tea-cli --no-trace-cache`) exists as an escape hatch and for
-    /// the identity tests themselves.
+    /// Toggles the per-run [`GoldenMemo`] (default **on**): the first
+    /// cell of each `(program, config)` pair publishes its finished
+    /// golden reference and later cells reuse it instead of attaching
+    /// the golden observer. Sharing is bit-identical to computing per
+    /// cell; turning it off exists for the identity tests. (The name
+    /// predates the removal of trace capture; the repository benchmark
+    /// still calls it.)
     #[must_use]
     pub fn trace_cache(mut self, enabled: bool) -> Self {
-        self.trace_cache = enabled;
-        self
-    }
-
-    /// Caps the per-run trace cache's accounted resident set at
-    /// `bytes` (`tea-cli --trace-cache-budget`). Unreferenced captures
-    /// are evicted deterministically — ascending fingerprint order —
-    /// after each build; an evicted workload re-captures on its next
-    /// checkout. Applies only to the engine's own per-run cache, never
-    /// to a caller-owned [`Engine::run_with_cache`] cache (configure
-    /// that one directly via [`TraceCache::set_budget`]).
-    #[must_use]
-    pub fn trace_cache_budget(mut self, bytes: u64) -> Self {
-        self.trace_cache_budget = Some(bytes);
+        self.golden_sharing = enabled;
         self
     }
 
     /// Arms deterministic chaos injection from `seed` (`tea-cli suite
-    /// --chaos-seed`): trace corruption and forced capture failures in
-    /// the per-run cache, observer panics inside cells, and torn
-    /// journal records. Every decision is a pure function of the seed,
-    /// so a chaos run is exactly reproducible. See [`ChaosInjector`].
+    /// --chaos-seed`): observer panics inside cells, torn journal
+    /// records, and a failed first artifact write. Every decision is a
+    /// pure function of the seed, so a chaos run is exactly
+    /// reproducible. See [`ChaosInjector`].
     #[must_use]
     pub fn chaos_seed(self, seed: u64) -> Self {
         self.chaos(Arc::new(ChaosInjector::new(seed)))
@@ -573,7 +558,7 @@ impl Engine {
     }
 
     /// Installs a [`ProgressSink`] receiving the run's live lifecycle
-    /// events (queued/start/retry/replay-fallback/finish), periodic
+    /// events (queued/start/retry/finish), periodic
     /// heartbeats, and the final per-cell status roll-up. Multiple
     /// sinks may be installed; each sees every event. See
     /// [`ProgressStream`] (`tea-cli --progress-stream`) and
@@ -613,27 +598,17 @@ impl Engine {
         self.run_inner(name, work, None)
     }
 
-    /// [`Engine::run`] drawing captured traces and shared golden
-    /// references from a caller-owned [`TraceCache`] instead of a
-    /// fresh per-run one.
-    ///
-    /// One functional execution then serves *every* matrix the cache
-    /// outlives — sweeps split across several [`Engine::run`] calls
-    /// (interval scans, config ladders, repeated measurements) stop
-    /// re-interpreting their workloads on each call. The cache is
-    /// warmed as a side effect: the first run captures, later runs
-    /// replay. Results are bit-identical to [`Engine::run`] with the
-    /// cache enabled (and to cache-off runs; see the replay-identity
-    /// tests).
+    /// [`Engine::run`] drawing shared golden references from a
+    /// caller-owned [`GoldenMemo`] instead of a fresh per-run one, so
+    /// sweeps split across several [`Engine::run`] calls (interval
+    /// scans, repeated measurements) compute each `(program, config)`
+    /// pair's reference once. Results are bit-identical to
+    /// [`Engine::run`] with sharing on or off (see the golden-sharing
+    /// identity tests).
     #[must_use]
-    pub fn run_with_cache(
-        &self,
-        name: &str,
-        cells: Vec<CellSpec>,
-        cache: &TraceCache,
-    ) -> RunResult {
+    pub fn run_with_cache(&self, name: &str, cells: Vec<CellSpec>, memo: &GoldenMemo) -> RunResult {
         let work = cells.into_iter().map(CellWork::run).collect();
-        self.run_inner_with(name, work, None, Some(cache))
+        self.run_inner_with(name, work, None, Some(memo))
     }
 
     /// Like [`Engine::run`], journaling every completed cell to
@@ -709,7 +684,7 @@ impl Engine {
         name: &str,
         work: Vec<CellWork>,
         journal: Option<&Journal>,
-        shared_cache: Option<&TraceCache>,
+        shared_memo: Option<&GoldenMemo>,
     ) -> RunResult {
         let t0 = Instant::now();
         let total = work.len();
@@ -748,21 +723,10 @@ impl Engine {
                 });
             }
         }
-        // One trace cache serves the whole run: the first cell of each
-        // workload interprets it, every later cell replays the capture.
-        // A caller-owned cache (Engine::run_with_cache) takes priority
-        // and survives the run, sharing captures across runs.
-        let own_cache = (shared_cache.is_none() && self.trace_cache).then(|| {
-            let mut cache = TraceCache::new();
-            if let Some(bytes) = self.trace_cache_budget {
-                cache.set_budget(bytes);
-            }
-            if let Some(chaos) = &self.chaos {
-                cache.set_chaos(Arc::clone(chaos));
-            }
-            cache
-        });
-        let cache = shared_cache.or(own_cache.as_ref());
+        // One golden memo serves the whole run. A caller-owned memo
+        // (Engine::run_with_cache) takes priority and survives the run.
+        let own_memo = (shared_memo.is_none() && self.golden_sharing).then(GoldenMemo::new);
+        let memo = shared_memo.or(own_memo.as_ref());
         // Cells are handed to exactly one worker each (shared-nothing);
         // the slot Mutexes only guard the ownership transfer.
         let slots: Vec<Mutex<Option<CellWork>>> =
@@ -788,7 +752,6 @@ impl Engine {
                     (&running, &finished_walls, &queue_depth);
                 s.spawn(move || {
                     tea_obs::set_thread_name(&format!("engine-worker-{worker}"));
-                    let _sinks = progress::install_current(&self.progress_sinks.0);
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= total {
@@ -798,7 +761,7 @@ impl Engine {
                         // Slot locks only transfer ownership of complete
                         // values; recover from poisoning (a panicking
                         // sibling worker) rather than cascade the wedge.
-                        let work = trace_cache::lock_recover(&slots[i])
+                        let work = lock_recover(&slots[i])
                             .take()
                             .expect("each cell is claimed exactly once");
                         let outcome = match work {
@@ -815,7 +778,7 @@ impl Engine {
                                         worker,
                                     });
                                     running.fetch_add(1, Ordering::Relaxed);
-                                    let outcome = self.run_cell_traced(i, *spec, cache);
+                                    let outcome = self.run_cell_traced(i, *spec, memo);
                                     running.fetch_sub(1, Ordering::Relaxed);
                                     outcome
                                 }
@@ -842,8 +805,7 @@ impl Engine {
                         let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
                         self.progress_line(name, finished, total, &outcome);
                         if matches!(outcome.data, CellData::Fresh(_)) {
-                            trace_cache::lock_recover(finished_walls)
-                                .push(outcome.wall.as_secs_f64());
+                            lock_recover(finished_walls).push(outcome.wall.as_secs_f64());
                         }
                         self.emit_progress(&ProgressEvent::CellFinish {
                             ts_ns: tea_obs::now_ns(),
@@ -854,7 +816,7 @@ impl Engine {
                             done: finished,
                             total,
                         });
-                        *trace_cache::lock_recover(&results[i]) = Some(outcome);
+                        *lock_recover(&results[i]) = Some(outcome);
                     }
                 });
             }
@@ -920,7 +882,7 @@ impl Engine {
                 return;
             }
             let in_flight = running.load(Ordering::Relaxed);
-            let walls = trace_cache::lock_recover(finished_walls);
+            let walls = lock_recover(finished_walls);
             let eta_s = (!walls.is_empty()).then(|| {
                 let mean = walls.iter().sum::<f64>() / walls.len() as f64;
                 let remaining = (total - finished) as f64;
@@ -946,12 +908,12 @@ impl Engine {
         &self,
         index: usize,
         spec: CellSpec,
-        cache: Option<&TraceCache>,
+        memo: Option<&GoldenMemo>,
     ) -> CellOutcome {
         let fields = cell_fields(index, &spec);
         let mut span = tea_obs::span(Level::Debug, ENGINE_TARGET, "cell", &fields);
         tea_obs::event(self.event_level(), ENGINE_TARGET, "cell start", &fields);
-        let outcome = self.execute_cell(index, spec, cache);
+        let outcome = self.execute_cell(index, spec, memo);
         span.record("status", outcome.status.name());
         span.record("attempts", u64::from(outcome.attempts));
         if let CellData::Failed(e) = &outcome.data {
@@ -997,18 +959,13 @@ impl Engine {
     }
 
     /// Runs one cell under `catch_unwind` with retry and backoff.
-    fn execute_cell(
-        &self,
-        index: usize,
-        spec: CellSpec,
-        cache: Option<&TraceCache>,
-    ) -> CellOutcome {
+    fn execute_cell(&self, index: usize, spec: CellSpec, memo: Option<&GoldenMemo>) -> CellOutcome {
         let t0 = Instant::now();
         let budget = spec.budget.or(self.cell_budget);
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            match run_cell_guarded(index, &spec, attempt, budget, cache, self.chaos.as_deref()) {
+            match run_cell_guarded(index, &spec, attempt, budget, memo, self.chaos.as_deref()) {
                 Ok(result) => {
                     return CellOutcome {
                         index,
@@ -1123,14 +1080,14 @@ fn run_cell_guarded(
     spec: &CellSpec,
     attempt: u32,
     budget: Option<u64>,
-    cache: Option<&TraceCache>,
+    memo: Option<&GoldenMemo>,
     chaos: Option<&ChaosInjector>,
 ) -> Result<CellResult, ExpError> {
     quiet_panics::install();
     let spec = spec.clone();
     quiet_panics::with_quiet(|| {
         match catch_unwind(AssertUnwindSafe(|| {
-            run_cell_attempt(index, spec, attempt, budget, cache, chaos)
+            run_cell_attempt(index, spec, attempt, budget, memo, chaos)
         })) {
             Ok(inner) => inner,
             Err(payload) => Err(ExpError::Panic {
@@ -1207,29 +1164,28 @@ pub fn run_cell(index: usize, spec: CellSpec) -> Result<CellResult, ExpError> {
 }
 
 /// One attempt of one cell. `attempt` is 1-based and keys injected
-/// faults; `budget` caps the simulation in simulated cycles; `cache`
-/// supplies a shared captured trace when the engine's trace cache is
-/// on (an uncacheable program falls back to live interpretation);
-/// `chaos` injects deterministic faults at the attempt's seams.
-///
-/// Degradation, not failure: when a replayed trace fails its
-/// integrity checks mid-run ([`SimError::Trace`]), the attempt
-/// quarantines the trace — later cells of the program go straight to
-/// live interpretation — and transparently re-runs this cell live
-/// from cycle 0 with the same spec, seed, and attempt count, so the
-/// cell's results are bit-identical to a cell that never replayed.
-/// Integrity failures are permanent (re-decoding the same bytes
-/// cannot succeed), so the fallback happens *within* the attempt
-/// instead of burning the engine's retries.
+/// faults; `budget` caps the simulation in simulated cycles; `memo`
+/// shares finished golden references across cells when the engine's
+/// golden sharing is on; `chaos` injects deterministic faults at the
+/// attempt's seams.
 fn run_cell_attempt(
     index: usize,
     spec: CellSpec,
     attempt: u32,
     budget: Option<u64>,
-    cache: Option<&TraceCache>,
+    memo: Option<&GoldenMemo>,
     chaos: Option<&ChaosInjector>,
 ) -> Result<CellResult, ExpError> {
     let t0 = Instant::now();
+    // A sampling timer needs a nonzero interval. Reject it here, as a
+    // deterministic config error, before an observer constructor's
+    // assert turns it into a panic the engine would retry.
+    if spec.interval == 0 && (spec.tip || !spec.schemes.is_empty()) {
+        return Err(ExpError::Config(SimError::InvalidConfig {
+            field: "interval",
+            reason: "sampling interval must be nonzero".to_string(),
+        }));
+    }
     match spec.fault {
         Some(Fault::PanicUntilAttempt(n)) if attempt < n => {
             panic!("injected panic on attempt {attempt} (cell {index})")
@@ -1239,81 +1195,12 @@ fn run_cell_attempt(
         }
         _ => {}
     }
-    // Hash the program once per cell; both cache lookups key on it.
-    let program_key = cache.map(|_| trace_cache::program_fingerprint(&spec.program));
     // Transient observer faults fire only on the first attempt (the
     // retry loop recovers them); persistent ones fire on every attempt
     // and surface as a failed cell.
     let observer_fault = chaos
         .and_then(|c| c.observer_fault(index))
         .filter(|f| f.persistent || attempt == 1);
-    let trace = cache
-        .zip(program_key)
-        .and_then(|(c, key)| c.checkout_keyed(key, &spec.program));
-    let replaying = trace.is_some();
-    let first = run_cell_pass(
-        index,
-        &spec,
-        budget,
-        cache,
-        program_key,
-        trace,
-        observer_fault,
-        t0,
-    );
-    match first {
-        Err(ExpError::Sim(SimError::Trace(e))) if replaying => {
-            if let Some((c, key)) = cache.zip(program_key) {
-                c.quarantine_keyed(key);
-            }
-            metrics().counter("replay.fallback").inc();
-            tea_obs::warn(
-                ENGINE_TARGET,
-                "replay trace failed integrity checks mid-run; \
-                 falling back to live interpretation",
-                &[
-                    ("index", Value::from(index)),
-                    ("workload", Value::str(&*spec.workload)),
-                    ("error", Value::from(e.to_string())),
-                ],
-            );
-            progress::emit_current(&ProgressEvent::ReplayFallback {
-                ts_ns: tea_obs::now_ns(),
-                index,
-                workload: spec.workload.to_string(),
-            });
-            // The failed pass dropped its golden ticket (if it held
-            // one), so this pass can re-claim and publish.
-            run_cell_pass(
-                index,
-                &spec,
-                budget,
-                cache,
-                program_key,
-                None,
-                observer_fault,
-                t0,
-            )
-        }
-        done => done,
-    }
-}
-
-/// One simulation pass of one cell: builds its observers, runs the
-/// core — replaying `trace` when given, interpreting live otherwise —
-/// and packages the measurements. `t0` is the enclosing attempt's
-/// start, so a fallback pass's wall time covers the wasted replay too.
-#[allow(clippy::too_many_arguments)]
-fn run_cell_pass(
-    index: usize,
-    spec: &CellSpec,
-    budget: Option<u64>,
-    cache: Option<&TraceCache>,
-    program_key: Option<u64>,
-    trace: Option<Arc<CapturedTrace>>,
-    observer_fault: Option<ObserverFault>,
-    t0: Instant,
-) -> Result<CellResult, ExpError> {
     let timer = || SampleTimer::with_jitter(spec.interval, spec.interval / 8, spec.seed);
     // The golden reference is seed- and interval-independent, so cells
     // of one (program, config) pair share one finished reference: the
@@ -1321,11 +1208,8 @@ fn run_cell_pass(
     // observer entirely, and claim-race losers compute locally.
     let mut golden_shared = None;
     let mut golden_ticket = None;
-    let mut golden = if spec.golden {
-        match cache
-            .zip(program_key)
-            .map(|(c, key)| c.golden_checkout_keyed(key, &spec.config))
-        {
+    let golden = if spec.golden {
+        match memo.map(|m| m.golden_checkout(&spec.program, &spec.config)) {
             Some(GoldenCheckout::Shared(g)) => {
                 golden_shared = Some(g);
                 None
@@ -1345,7 +1229,7 @@ fn run_cell_pass(
     // push index is remembered so the observers can be taken back out
     // after the run.
     let mut set = ObserverSet::new();
-    let golden_at = golden.take().map(|g| set.push(AnyObserver::Golden(g)));
+    let golden_at = golden.map(|g| set.push(AnyObserver::Golden(g)));
     let tip_at = if spec.tip {
         Some(set.push(AnyObserver::Tip(TipProfiler::new(timer()))))
     } else {
@@ -1363,11 +1247,8 @@ fn run_cell_pass(
         set.push(AnyObserver::Dyn(Box::new(ChaosObserver::new(fault))));
     }
     let stats = {
-        let mut core = match trace {
-            Some(trace) => Core::try_with_trace(&spec.program, trace, spec.config.clone()),
-            None => Core::try_new(&spec.program, spec.config.clone()),
-        }
-        .map_err(ExpError::Config)?;
+        let mut core =
+            Core::try_new(&spec.program, spec.config.clone()).map_err(ExpError::Config)?;
         match budget {
             Some(max) => {
                 let stats = core
@@ -1423,7 +1304,7 @@ fn run_cell_pass(
     }
     Ok(CellResult {
         index,
-        spec: spec.clone(),
+        spec,
         stats,
         golden,
         tip: tip.map(|t| t.profile().clone()),

@@ -1,5 +1,5 @@
 //! Live progress streaming: a typed event feed of the engine's
-//! queued / start / retry / replay-fallback / finish lifecycle plus
+//! queued / start / retry / finish lifecycle plus
 //! periodic heartbeats, consumable while a run executes.
 //!
 //! This is the wire-format precursor to profiling-as-a-service
@@ -70,16 +70,6 @@ pub enum ProgressEvent {
         attempt: u32,
         /// Failure kind (`panic`, `injected`, …).
         cause: String,
-    },
-    /// A cached replay failed integrity checks and the cell fell back
-    /// to live interpretation.
-    ReplayFallback {
-        /// Timestamp.
-        ts_ns: u64,
-        /// Cell index.
-        index: usize,
-        /// Workload name.
-        workload: String,
     },
     /// A cell finished (any status).
     CellFinish {
@@ -184,16 +174,6 @@ impl ProgressEvent {
                 ("index", Json::UInt(*index as u64)),
                 ("attempt", Json::UInt(u64::from(*attempt))),
                 ("cause", Json::Str(cause.clone())),
-            ]),
-            ProgressEvent::ReplayFallback {
-                ts_ns,
-                index,
-                workload,
-            } => Json::obj(vec![
-                ("t", Json::Str("replay_fallback".into())),
-                ("ts_ns", Json::UInt(*ts_ns)),
-                ("index", Json::UInt(*index as u64)),
-                ("workload", Json::Str(workload.clone())),
             ]),
             ProgressEvent::CellFinish {
                 ts_ns,
@@ -401,42 +381,6 @@ impl ProgressSink for ProgressRecorder {
             _ => {}
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Per-thread sink handoff for emission points below the Engine
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static CURRENT: std::cell::RefCell<Vec<std::sync::Arc<dyn ProgressSink>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Install `sinks` as the calling thread's progress sinks for the
-/// duration of the returned guard. Free functions deep in the cell
-/// path ([`emit_current`]) reach them without threading a parameter
-/// through `catch_unwind`.
-pub(crate) fn install_current(sinks: &[std::sync::Arc<dyn ProgressSink>]) -> CurrentGuard {
-    CURRENT.with(|c| *c.borrow_mut() = sinks.to_vec());
-    CurrentGuard
-}
-
-pub(crate) struct CurrentGuard;
-
-impl Drop for CurrentGuard {
-    fn drop(&mut self) {
-        CURRENT.with(|c| c.borrow_mut().clear());
-    }
-}
-
-/// Emit through the calling thread's installed sinks (no-op when none
-/// are installed).
-pub(crate) fn emit_current(event: &ProgressEvent) {
-    CURRENT.with(|c| {
-        for sink in c.borrow().iter() {
-            sink.emit(event);
-        }
-    });
 }
 
 #[cfg(test)]

@@ -11,13 +11,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tea_exp::artifact::read_artifact;
-use tea_exp::trace_cache::program_fingerprint;
 use tea_exp::{CellSpec, CellStatus, ChaosInjector, Engine};
-use tea_isa::CapturedTrace;
 use tea_workloads::{lbm, xz, Size};
 
 /// The matrix every chaos test runs: two workloads, two seeds each, so
-/// one capture per workload is shared by a replaying sibling.
+/// one golden reference per workload is shared by a sibling.
 fn matrix() -> Vec<CellSpec> {
     vec![
         CellSpec::for_workload(&lbm::workload(Size::Test)).seed(11),
@@ -53,8 +51,7 @@ fn chaos_runs_terminate_with_accurate_statuses_and_valid_artifacts() {
 
         // Predict each cell's status from the injector's decisions:
         // only a *persistent* observer fault whose cycle the cell
-        // actually reaches survives the retry; every other seam
-        // (capture failure, trace corruption, transient panics) must
+        // actually reaches survives the retry; a transient panic must
         // degrade gracefully to an ok cell.
         for (i, cell) in run.cells.iter().enumerate() {
             let fault = injector.observer_fault(i);
@@ -80,54 +77,6 @@ fn chaos_runs_terminate_with_accurate_statuses_and_valid_artifacts() {
             assert_eq!(cell.status, read_back.status);
         }
     }
-}
-
-#[test]
-fn corrupt_trace_falls_back_live_and_stays_bit_identical() {
-    // Find a seed that corrupts lbm's capture without uncaching it and
-    // leaves both lbm cells free of observer faults — isolating the
-    // trace-integrity seam.
-    let p = lbm::program(Size::Test);
-    let key = program_fingerprint(&p);
-    let encoded_len = CapturedTrace::capture_default(&p)
-        .expect("lbm halts")
-        .encoded_len();
-    let seed = (1..2000u64)
-        .find(|&s| {
-            let c = ChaosInjector::new(s);
-            !c.fail_capture(key)
-                && c.corrupt_trace(key, encoded_len).is_some()
-                && c.observer_fault(0).is_none()
-                && c.observer_fault(1).is_none()
-        })
-        .expect("some small seed isolates the corruption seam");
-
-    let cells = || {
-        vec![
-            CellSpec::for_workload(&lbm::workload(Size::Test)).seed(11),
-            CellSpec::for_workload(&lbm::workload(Size::Test)).seed(29),
-        ]
-    };
-    // Baseline: pure live interpretation, no cache, no chaos.
-    let live = eager(1).trace_cache(false).run("chaos-fallback", cells());
-    assert!(live.all_ok());
-
-    let fallback = tea_obs::metrics::global().counter("replay.fallback");
-    let before = fallback.get();
-    let chaotic = eager(1).chaos_seed(seed).run("chaos-fallback", cells());
-
-    // The first lbm cell replays the corrupted capture, hits the
-    // checksum mid-run, quarantines the trace, and transparently
-    // re-runs live — same attempt, same seed. The sibling finds the
-    // quarantine marker and interprets live directly.
-    assert!(chaotic.all_ok(), "fallback must complete the cell");
-    assert_eq!(chaotic.cells[0].attempts, 1, "fallback is not a retry");
-    assert!(fallback.get() > before, "the fallback must be metered");
-    assert_eq!(
-        chaotic.deterministic_json().render_pretty(),
-        live.deterministic_json().render_pretty(),
-        "a fallen-back run must be bit-identical to a pure-live run"
-    );
 }
 
 #[test]

@@ -155,6 +155,22 @@ fn an_invalid_config_fails_fast_with_the_offending_field() {
 }
 
 #[test]
+fn a_zero_sampling_interval_is_a_config_error_not_a_retried_panic() {
+    let run = eager(1)
+        .max_retries(5)
+        .run("ft-interval", vec![clean_spec(3).interval(0)]);
+    let cell = &run.cells[0];
+    assert_eq!(cell.status, CellStatus::Failed);
+    assert_eq!(cell.attempts, 1, "config errors are not transient");
+    assert_eq!(cell.error().map(ExpError::kind), Some("config"));
+    let message = cell.error().expect("failed cell has an error").to_string();
+    assert!(message.contains("interval"), "{message}");
+    // Without a sampling observer the interval is never used.
+    let bare = eager(1).run("ft-interval", vec![clean_spec(3).interval(0).stats_only()]);
+    assert!(bare.all_ok());
+}
+
+#[test]
 fn fail_fast_skips_the_cells_after_the_first_failure() {
     let cells = vec![
         clean_spec(1).fault(Fault::PanicUntilAttempt(u32::MAX)),

@@ -26,6 +26,12 @@
 //! immutable, each block is verified at most once per trace — a
 //! per-block bitmap remembers blocks that already passed, making the
 //! steady-state replay cost identical to the unchecked codec.
+//!
+//! The experiment engine does not replay: measured end to end, replay
+//! ran no faster than live interpretation, and block decode cost about
+//! twice what interpretation did (docs/INTERNALS.md §8). Capture and
+//! replay remain as a layer that `tea-cli bench` and the repository
+//! benchmark time on their own.
 
 pub mod codec;
 
@@ -51,11 +57,9 @@ pub const DEFAULT_CAPTURE_LIMIT: u64 = 1 << 25;
 /// A detected defect in a captured trace's encoded form.
 ///
 /// Everything here means the bytes no longer match what
-/// [`CapturedTrace::capture`] produced — bit rot, a torn copy, or
-/// deliberate chaos injection. The replay pipeline treats these as
-/// *permanent*: re-decoding the same bytes can never succeed, so the
-/// engine quarantines the trace and falls back to live interpretation
-/// rather than retrying.
+/// [`CapturedTrace::capture`] produced — bit rot or a torn copy.
+/// These are *permanent*: re-decoding the same bytes can never succeed,
+/// so a replaying caller should interpret live rather than retry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceError {
     /// A block index at or past the number of blocks was requested.
@@ -469,8 +473,8 @@ impl CapturedTrace {
         }
     }
 
-    /// Heap bytes held by the trace (the resident cost of keeping the
-    /// trace cached): the compressed blocks plus the block offset
+    /// Heap bytes held by the trace (the resident cost of keeping it):
+    /// the compressed blocks plus the block offset
     /// table. Decode windows are owned by replaying cores, not the
     /// trace, so they are not counted here.
     #[must_use]

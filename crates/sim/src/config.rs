@@ -96,6 +96,18 @@ pub struct BranchConfig {
     pub ras_entries: usize,
 }
 
+impl BranchConfig {
+    /// Largest accepted [`BranchConfig::pht_bits`]: 2^24 one-byte
+    /// counters, 16 MiB. (Table 2 uses 14.)
+    pub const MAX_PHT_BITS: u32 = 24;
+    /// Largest accepted [`BranchConfig::btb_bits`]: 2^20 tag/target
+    /// pairs, 16 MiB. (Table 2 uses 11.)
+    pub const MAX_BTB_BITS: u32 = 20;
+    /// Largest accepted [`BranchConfig::history_bits`]: the history
+    /// register and its mask are one `u64`. (Table 2 uses 12.)
+    pub const MAX_HISTORY_BITS: u32 = 63;
+}
+
 /// Configuration of injected sampling interrupts (to measure TEA's
 /// runtime overhead empirically; Section 3 reports 1.1 % at 4 kHz).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -438,6 +450,27 @@ impl SimConfig {
         if self.mem.min_line_interval == 0 {
             return fail("mem.min_line_interval", "must be nonzero");
         }
+        for (field, bits, cap) in [
+            (
+                "branch.pht_bits",
+                self.branch.pht_bits,
+                BranchConfig::MAX_PHT_BITS,
+            ),
+            (
+                "branch.btb_bits",
+                self.branch.btb_bits,
+                BranchConfig::MAX_BTB_BITS,
+            ),
+            (
+                "branch.history_bits",
+                self.branch.history_bits,
+                BranchConfig::MAX_HISTORY_BITS,
+            ),
+        ] {
+            if bits > cap {
+                return fail(field, format!("must be at most {cap}"));
+            }
+        }
         if let Some(s) = &self.sampling_injection {
             if s.interval == 0 {
                 return fail("sampling_injection.interval", "must be nonzero");
@@ -583,5 +616,46 @@ mod tests {
             })),
             "sampling_injection.interval"
         );
+    }
+
+    #[test]
+    fn oversized_pht_is_rejected() {
+        // 64 overflows the table-size shift; 40 would abort on
+        // allocation.
+        for bits in [BranchConfig::MAX_PHT_BITS + 1, 40, 64] {
+            assert_eq!(
+                field_of(broken(|c| c.branch.pht_bits = bits)),
+                "branch.pht_bits"
+            );
+        }
+        let mut c = SimConfig::default();
+        c.branch.pht_bits = BranchConfig::MAX_PHT_BITS;
+        c.validate().expect("the cap itself is valid");
+    }
+
+    #[test]
+    fn oversized_btb_is_rejected() {
+        for bits in [BranchConfig::MAX_BTB_BITS + 1, 40, 64] {
+            assert_eq!(
+                field_of(broken(|c| c.branch.btb_bits = bits)),
+                "branch.btb_bits"
+            );
+        }
+        let mut c = SimConfig::default();
+        c.branch.btb_bits = BranchConfig::MAX_BTB_BITS;
+        c.validate().expect("the cap itself is valid");
+    }
+
+    #[test]
+    fn oversized_history_is_rejected() {
+        for bits in [64, 100] {
+            assert_eq!(
+                field_of(broken(|c| c.branch.history_bits = bits)),
+                "branch.history_bits"
+            );
+        }
+        let mut c = SimConfig::default();
+        c.branch.history_bits = BranchConfig::MAX_HISTORY_BITS;
+        c.validate().expect("the cap itself is valid");
     }
 }

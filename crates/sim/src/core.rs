@@ -206,9 +206,7 @@ enum StreamError {
     /// escaping the text segment). A captured trace carries the fault
     /// of its capture run and surfaces it at the same sequence number.
     Isa(IsaError),
-    /// An integrity failure while decoding a replay trace; the
-    /// experiment engine reacts by quarantining the trace and falling
-    /// back to live interpretation.
+    /// An integrity failure while decoding a replay trace.
     Trace(tea_isa::TraceError),
 }
 
@@ -451,10 +449,11 @@ impl<'p> Core<'p> {
     ///
     /// The replayed run is bit-identical to the interpreted run of the
     /// same program — the timing model consumes the exact same
-    /// committed stream — but `stream.get` becomes an array read and
-    /// the squash/re-fetch path pure cursor arithmetic, so it is the
-    /// fast path when one workload is simulated under many
-    /// configurations (see `tea-exp`'s trace cache). `program` must be
+    /// committed stream — with `stream.get` an array read over a
+    /// decoded block and the squash/re-fetch path pure cursor
+    /// arithmetic. Measured end to end it runs no faster than live
+    /// interpretation, so the experiment engine does not use it.
+    /// `program` must be
     /// the program `trace` was captured from: the slim trace stores
     /// only static instruction indices and reconstructs the pc and
     /// decoded instruction from the program's layout.
@@ -1392,9 +1391,7 @@ impl<'p> Core<'p> {
     /// text segment through a wild `jalr`. The error carries the
     /// instruction context; statistics accumulated so far are kept on
     /// the core but not returned. Returns [`SimError::Trace`] when a
-    /// replayed trace fails integrity checks mid-run; the experiment
-    /// engine reacts by quarantining the trace and re-running the cell
-    /// live.
+    /// replayed trace fails integrity checks mid-run.
     pub fn try_run_for_with<H: ObserverHost + ?Sized>(
         &mut self,
         max_cycles: u64,

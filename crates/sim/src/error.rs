@@ -27,8 +27,7 @@ pub enum SimError {
     Isa(IsaError),
     /// A replayed trace failed integrity checks mid-run. Unlike
     /// [`SimError::Isa`] this says nothing about the program: the same
-    /// cell re-run under live interpretation can still succeed, which
-    /// is exactly the fallback the experiment engine performs.
+    /// run under live interpretation can still succeed.
     Trace(TraceError),
 }
 

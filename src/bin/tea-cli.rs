@@ -6,8 +6,7 @@
 //! tea-cli profile <workload> [--size test|ref] [--interval N] [--top N]
 //! tea-cli compare <workload> [--size test|ref] [--interval N]
 //! tea-cli suite [workload...] [--size test|ref] [--interval N] [--threads N] [--json out.json]
-//!               [--det-json out.json] [--no-trace-cache] [--trace-cache-budget BYTES]
-//!               [--resume] [--max-retries N] [--cell-timeout CYCLES] [--fail-fast]
+//!               [--det-json out.json] [--resume] [--max-retries N] [--cell-timeout CYCLES] [--fail-fast]
 //!               [--inject-panic <workload>] [--inject-diverge <workload>]
 //!               [--chaos-seed N] [--no-fast-forward]
 //! tea-cli bench [workload...] [--size test|ref] [--interval N] [--iters N] [--json out.json]
@@ -67,8 +66,6 @@ struct Args {
     threads: usize,
     json: Option<String>,
     det_json: Option<String>,
-    no_trace_cache: bool,
-    trace_cache_budget: Option<u64>,
     chaos_seed: Option<u64>,
     resume: bool,
     max_retries: u32,
@@ -100,8 +97,6 @@ fn parse_args() -> Result<Args, String> {
         threads: 0,
         json: None,
         det_json: None,
-        no_trace_cache: false,
-        trace_cache_budget: None,
         chaos_seed: None,
         resume: false,
         max_retries: 1,
@@ -134,9 +129,11 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--interval" => {
+                // A sampling timer needs a nonzero period.
                 args.interval = grab("--interval")?
-                    .parse()
+                    .parse::<std::num::NonZeroU64>()
                     .map_err(|e| format!("bad interval: {e}"))?
+                    .get()
             }
             "--top" => {
                 args.top = grab("--top")?
@@ -155,14 +152,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--json" => args.json = Some(grab("--json")?),
             "--det-json" => args.det_json = Some(grab("--det-json")?),
-            "--no-trace-cache" => args.no_trace_cache = true,
-            "--trace-cache-budget" => {
-                args.trace_cache_budget = Some(
-                    grab("--trace-cache-budget")?
-                        .parse()
-                        .map_err(|e| format!("bad trace-cache-budget: {e}"))?,
-                )
-            }
             "--chaos-seed" => {
                 args.chaos_seed = Some(
                     grab("--chaos-seed")?
@@ -356,12 +345,9 @@ fn describe_error(cell: &tea_exp::CellOutcome) -> String {
 /// fault-tolerance path end to end). Exits non-zero if any cell does
 /// not complete.
 ///
-/// `--chaos-seed N` arms deterministic chaos injection (trace
-/// corruption, forced capture failures, observer panics, torn journal
-/// lines, a failed first artifact write) across the run — see
-/// EXPERIMENTS.md for the chaos-suite procedure. `--trace-cache-budget
-/// BYTES` bounds the per-run trace cache, evicting unreferenced
-/// captures deterministically.
+/// `--chaos-seed N` arms deterministic chaos injection (observer
+/// panics, torn journal lines, a failed first artifact write) across
+/// the run — see EXPERIMENTS.md for the chaos-suite procedure.
 fn cmd_suite(args: &Args, capture: &mut RunCapture) -> Result<(), String> {
     let selected: Vec<String> = args.positional[1..].to_vec();
     let mut workloads = all_workloads(args.size);
@@ -376,14 +362,9 @@ fn cmd_suite(args: &Args, capture: &mut RunCapture) -> Result<(), String> {
     } else {
         Engine::new(args.threads)
     };
-    engine = engine
-        .max_retries(args.max_retries)
-        .trace_cache(!args.no_trace_cache);
+    engine = engine.max_retries(args.max_retries);
     if let Some(budget) = args.cell_timeout {
         engine = engine.cell_budget(budget);
-    }
-    if let Some(bytes) = args.trace_cache_budget {
-        engine = engine.trace_cache_budget(bytes);
     }
     if let Some(path) = &args.progress_stream {
         let stream = if path == "-" {
@@ -548,8 +529,7 @@ fn cmd_suite(args: &Args, capture: &mut RunCapture) -> Result<(), String> {
     if let Some(path) = &args.det_json {
         // The deterministic projection (wall-clock fields stripped):
         // byte-for-byte comparable across thread counts, resumes, and
-        // trace-cache settings. CI's trace-replay-identity job diffs
-        // two of these.
+        // fast-forward settings. CI's identity jobs diff two of these.
         std::fs::write(path, run.deterministic_json().render_pretty())
             .map_err(|e| format!("write {path}: {e}"))?;
         println!("deterministic artifact: {path}");
@@ -661,14 +641,6 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
             w.replay_wall
         );
     }
-    println!(
-        "matrix ({} cells, {} seeds/workload): interpret {:.3}s, warm cache {:.3}s, speedup {:.2}x",
-        report.matrix.cells,
-        report.matrix.cells_per_workload,
-        report.matrix.interpret_wall,
-        report.matrix.replay_wall,
-        report.matrix.warm_speedup()
-    );
     let path = args.json.clone().unwrap_or_else(|| {
         tea_exp::workspace_root()
             .join("BENCH_sim_throughput.json")
@@ -1183,8 +1155,7 @@ fn main() -> ExitCode {
                  tea-cli profile <workload> [--size test|ref] [--interval N] [--top N]\n  \
                  tea-cli compare <workload> [--size test|ref] [--interval N]\n  \
                  tea-cli suite [workload...] [--size test|ref] [--interval N] [--threads N] [--json out.json]\n  \
-                 \u{20}             [--det-json out.json] [--no-trace-cache] [--trace-cache-budget BYTES]\n  \
-                 \u{20}             [--resume] [--max-retries N] [--cell-timeout CYCLES] [--fail-fast]\n  \
+                 \u{20}             [--det-json out.json] [--resume] [--max-retries N] [--cell-timeout CYCLES] [--fail-fast]\n  \
                  \u{20}             [--inject-panic <workload>] [--inject-diverge <workload>]\n  \
                  \u{20}             [--chaos-seed N] [--no-fast-forward] [--progress-stream <path|->]\n  \
                  tea-cli bench [workload...] [--size test|ref] [--interval N] [--iters N]\n  \
