@@ -29,9 +29,13 @@
 //! * [`overhead`] — storage/power/performance overhead accounting
 //!   (Section 3);
 //! * [`render`] — plain-text rendering for the experiment harnesses;
-//! * [`observers`] — statically dispatched observer sets
-//!   ([`observers::AnyObserver`] / [`observers::ObserverSet`]) that
-//!   devirtualize scheme delivery in the simulator's cycle loop.
+//! * [`observers`] — [`observers::SchemeProfiler`], one type for any
+//!   comparison scheme's profiler, and [`observers::ProfiledObservers`],
+//!   the throughput bench's golden-plus-five-schemes composite.
+//!
+//! Every profiler is a [`tea_sim::Observer`], the simulator's one
+//! delivery contract, so all of them see the exact same cycles of a
+//! single run.
 //!
 //! # Example: profile a loop and print its PICS
 //!
@@ -96,7 +100,7 @@ pub mod tip;
 pub use error::pics_error;
 pub use golden::GoldenReference;
 pub use nci::NciProfiler;
-pub use observers::{AnyObserver, ObserverSet, ProfiledObservers};
+pub use observers::{ProfiledObservers, SchemeProfiler};
 pub use pics::{Granularity, Pics, UnitMap};
 pub use pmc::PmcProfiler;
 pub use sampling::SampleTimer;

@@ -1,129 +1,78 @@
-//! Statically dispatched observer sets (ISSUE 10 devirtualization).
+//! Observer compositions over the one [`Observer`] trait.
 //!
-//! Every profiling scheme the workspace runs against the simulator is a
-//! known concrete type in this crate; only ad-hoc tooling (chaos
-//! injection, tests) brings its own. [`AnyObserver`] closes that set in
-//! one enum — golden / TEA / NCI / tagging (IBS, SPE, RIS, TEA-DT) /
-//! TIP / PMC / the bench composite — with a `Box<dyn Observer>` escape
-//! hatch, and [`ObserverSet`] holds any number of them behind a single
-//! [`Observer`] implementation. Driving a run through
-//! [`Core::run_with`](tea_sim::Core::run_with) with an `ObserverSet`
-//! (or any single concrete observer) monomorphizes
-//! `on_cycle`/`on_commit_batch`/`on_stall_run` into the cycle loop: the
-//! per-cycle cost is one match per member instead of two pointer chases
-//! per member through a `&mut [&mut dyn Observer]` slice.
+//! The simulator delivers every notification through `Observer` alone:
+//! a single concrete observer runs monomorphised through
+//! [`Core::run_with`](tea_sim::Core::run_with), and any number of them
+//! run as one ordered `&mut [&mut dyn Observer]` slice through
+//! [`Core::run`](tea_sim::Core::run). This module adds two named
+//! compositions: [`SchemeProfiler`], the profiler of any one of the
+//! paper's comparison schemes, and [`ProfiledObservers`], the golden
+//! reference plus five schemes that the throughput bench measures.
 
 use tea_sim::trace::{CycleView, Observer, RetiredInst};
 
 use crate::golden::GoldenReference;
 use crate::nci::NciProfiler;
 use crate::pics::Pics;
-use crate::pmc::PmcProfiler;
 use crate::sampling::SampleTimer;
 use crate::schemes::Scheme;
 use crate::tagging::TaggingProfiler;
 use crate::tea::TeaProfiler;
-use crate::tip::TipProfiler;
 
-/// One observer of a known scheme, dispatched by match instead of
-/// vtable. The [`AnyObserver::Dyn`] variant carries anything else at
-/// the old virtual-call cost.
-// The size skew is the bench composite (six profilers inline); boxing
-// it would put a pointer chase back on the hottest dispatch edge, and
-// a run holds only a handful of `AnyObserver`s, so the footprint is
-// irrelevant.
-#[allow(clippy::large_enum_variant)]
-pub enum AnyObserver {
-    /// The exact per-cycle attribution ground truth.
-    Golden(GoldenReference),
+/// The profiler of one of the paper's comparison schemes, so callers
+/// that pick schemes at run time hold one type instead of three.
+pub enum SchemeProfiler {
     /// Time-proportional sampling (the paper's scheme).
     Tea(TeaProfiler),
     /// Next-committing-instruction sampling (PEBS-style).
     Nci(NciProfiler),
     /// Front-end tagging: IBS, SPE, RIS or TEA-DT.
     Tagging(TaggingProfiler),
-    /// Time-proportional instruction profiling (Gottschall et al. '21).
-    Tip(TipProfiler),
-    /// A conventional performance-counter overflow profiler.
-    Pmc(PmcProfiler),
-    /// The throughput bench's composite profiled set.
-    Bench(ProfiledObservers),
-    /// Escape hatch for observers outside the known set (chaos
-    /// injection, tests); pays the classic virtual dispatch.
-    Dyn(Box<dyn Observer>),
 }
 
 macro_rules! each {
     ($self:ident, $o:ident => $e:expr) => {
         match $self {
-            AnyObserver::Golden($o) => $e,
-            AnyObserver::Tea($o) => $e,
-            AnyObserver::Nci($o) => $e,
-            AnyObserver::Tagging($o) => $e,
-            AnyObserver::Tip($o) => $e,
-            AnyObserver::Pmc($o) => $e,
-            AnyObserver::Bench($o) => $e,
-            AnyObserver::Dyn($o) => $e,
+            SchemeProfiler::Tea($o) => $e,
+            SchemeProfiler::Nci($o) => $e,
+            SchemeProfiler::Tagging($o) => $e,
         }
     };
 }
 
-impl AnyObserver {
-    /// The profiler for one of the paper's comparison schemes, sampling
-    /// on `timer`.
+impl SchemeProfiler {
+    /// The profiler for `scheme`, sampling on `timer`.
     #[must_use]
-    pub fn for_scheme(scheme: Scheme, timer: SampleTimer) -> Self {
+    pub fn new(scheme: Scheme, timer: SampleTimer) -> Self {
         match scheme {
-            Scheme::Tea => AnyObserver::Tea(TeaProfiler::new(timer)),
-            Scheme::NciTea => AnyObserver::Nci(NciProfiler::new(timer)),
+            Scheme::Tea => SchemeProfiler::Tea(TeaProfiler::new(timer)),
+            Scheme::NciTea => SchemeProfiler::Nci(NciProfiler::new(timer)),
             Scheme::Ibs | Scheme::Spe | Scheme::Ris | Scheme::TeaDispatchTagged => {
-                AnyObserver::Tagging(TaggingProfiler::new(scheme, timer))
+                SchemeProfiler::Tagging(TaggingProfiler::new(scheme, timer))
             }
         }
     }
 
-    /// Samples taken, for the sampling profilers (`None` for variants
-    /// without a sample counter).
+    /// Samples taken.
     #[must_use]
-    pub fn samples(&self) -> Option<u64> {
-        match self {
-            AnyObserver::Tea(o) => Some(o.samples()),
-            AnyObserver::Nci(o) => Some(o.samples()),
-            AnyObserver::Tagging(o) => Some(o.samples()),
-            AnyObserver::Tip(o) => Some(o.samples()),
-            AnyObserver::Bench(o) => Some(o.samples()),
-            _ => None,
-        }
+    pub fn samples(&self) -> u64 {
+        each!(self, o => o.samples())
     }
 
-    /// Samples taken but never attributed by finish (`None` for
-    /// variants without delayed attribution).
+    /// Samples taken but never attributed by finish.
     #[must_use]
-    pub fn pending_samples(&self) -> Option<usize> {
-        match self {
-            AnyObserver::Tea(o) => Some(o.pending_samples()),
-            AnyObserver::Nci(o) => Some(o.pending_samples()),
-            AnyObserver::Tagging(o) => Some(o.pending_samples()),
-            AnyObserver::Tip(o) => Some(o.pending_samples()),
-            _ => None,
-        }
+    pub fn pending_samples(&self) -> usize {
+        each!(self, o => o.pending_samples())
     }
 
-    /// Consumes the observer into its estimated PICS, for the variants
-    /// that produce one.
+    /// Consumes the profiler into its estimated PICS.
     #[must_use]
-    pub fn into_pics(self) -> Option<Pics> {
-        match self {
-            AnyObserver::Golden(o) => Some(o.into_pics()),
-            AnyObserver::Tea(o) => Some(o.into_pics()),
-            AnyObserver::Nci(o) => Some(o.into_pics()),
-            AnyObserver::Tagging(o) => Some(o.into_pics()),
-            _ => None,
-        }
+    pub fn into_pics(self) -> Pics {
+        each!(self, o => o.into_pics())
     }
 }
 
-impl Observer for AnyObserver {
+impl Observer for SchemeProfiler {
     fn on_cycle(&mut self, view: &CycleView<'_>) {
         each!(self, o => o.on_cycle(view));
     }
@@ -131,13 +80,9 @@ impl Observer for AnyObserver {
         each!(self, o => o.on_retire(retired));
     }
     fn on_commit_batch(&mut self, batch: &[RetiredInst]) {
-        // Forward the whole group so each member's batched override
-        // (and its hoisted per-batch probes) stays active.
         each!(self, o => o.on_commit_batch(batch));
     }
     fn on_stall_run(&mut self, view: &CycleView<'_>, n: u64) {
-        // Forward the folded span so each member's O(1) stall fold (not
-        // the default per-cycle replay) handles it.
         each!(self, o => o.on_stall_run(view, n));
     }
     fn on_squash(&mut self, from_seq: u64) {
@@ -148,97 +93,12 @@ impl Observer for AnyObserver {
     }
 }
 
-/// An ordered set of [`AnyObserver`]s behind one [`Observer`] (and so,
-/// via the blanket impl, one
-/// [`ObserverHost`](tea_sim::trace::ObserverHost)): the run-loop
-/// notification fans out in a plain loop over enum matches, with no
-/// virtual calls for the known schemes.
-///
-/// Build the set, remember the index each `push` returns, run the core
-/// with it, then [`ObserverSet::into_items`] to take the observers back
-/// for result extraction.
-#[derive(Default)]
-pub struct ObserverSet {
-    items: Vec<AnyObserver>,
-}
-
-impl ObserverSet {
-    /// An empty set.
-    #[must_use]
-    pub fn new() -> Self {
-        ObserverSet { items: Vec::new() }
-    }
-
-    /// Appends `obs`, returning its index for later retrieval.
-    pub fn push(&mut self, obs: AnyObserver) -> usize {
-        self.items.push(obs);
-        self.items.len() - 1
-    }
-
-    /// Number of observers in the set.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the set is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// The observers, in push order.
-    #[must_use]
-    pub fn items(&self) -> &[AnyObserver] {
-        &self.items
-    }
-
-    /// Consumes the set into its observers, in push order.
-    #[must_use]
-    pub fn into_items(self) -> Vec<AnyObserver> {
-        self.items
-    }
-}
-
-impl Observer for ObserverSet {
-    fn on_cycle(&mut self, view: &CycleView<'_>) {
-        for o in &mut self.items {
-            o.on_cycle(view);
-        }
-    }
-    fn on_retire(&mut self, retired: &RetiredInst) {
-        for o in &mut self.items {
-            o.on_retire(retired);
-        }
-    }
-    fn on_commit_batch(&mut self, batch: &[RetiredInst]) {
-        for o in &mut self.items {
-            o.on_commit_batch(batch);
-        }
-    }
-    fn on_stall_run(&mut self, view: &CycleView<'_>, n: u64) {
-        for o in &mut self.items {
-            o.on_stall_run(view, n);
-        }
-    }
-    fn on_squash(&mut self, from_seq: u64) {
-        for o in &mut self.items {
-            o.on_squash(from_seq);
-        }
-    }
-    fn on_finish(&mut self, total_cycles: u64) {
-        for o in &mut self.items {
-            o.on_finish(total_cycles);
-        }
-    }
-}
-
 /// The standard profiled observer set of the throughput bench: golden
 /// reference plus the five sampling schemes of the paper's comparison
 /// (one jittered timer sequence, so all schemes fire in the same
-/// cycles). Lives here — not in `tea-bench` — so the composite is a
-/// named [`AnyObserver`] variant and `tea-cli bench` measures the same
-/// statically dispatched path an experiment run uses.
+/// cycles). It is one concrete [`Observer`], so
+/// [`Core::run_with`](tea_sim::Core::run_with) inlines its fan-out into
+/// the cycle loop.
 pub struct ProfiledObservers {
     golden: GoldenReference,
     tea: TeaProfiler,
@@ -343,10 +203,13 @@ mod tests {
     use super::*;
     use tea_isa::asm::Asm;
     use tea_isa::Reg;
+    use tea_sim::config::SamplingInjection;
     use tea_sim::core::Core;
-    use tea_sim::SimConfig;
+    use tea_sim::{SimConfig, SimStats};
 
-    fn program() -> tea_isa::program::Program {
+    /// A store/load loop run under injected sampling interrupts, so the
+    /// run has squashes, commit groups and fast-forwarded stall runs.
+    fn squash_heavy_run<O: Observer + ?Sized>(observer: &mut O) -> (SimStats, u64) {
         let mut a = Asm::new();
         let top = a.new_label();
         a.li(Reg::T0, 0);
@@ -358,77 +221,74 @@ mod tests {
         a.addi(Reg::T0, Reg::T0, 1);
         a.blt(Reg::T0, Reg::T1, top);
         a.halt();
-        a.finish().unwrap()
+        let p = a.finish().unwrap();
+        let cfg = SimConfig {
+            sampling_injection: Some(SamplingInjection {
+                interval: 97,
+                handler_cycles: 35,
+            }),
+            ..SimConfig::default()
+        };
+        let mut core = Core::new(&p, cfg);
+        let stats = core.run_with(observer);
+        (stats, core.cycle_breakdown().stall_runs)
     }
 
-    /// The devirtualized path (`run_with` + `ObserverSet`) must produce
-    /// the exact observer states the dyn-slice path produces.
-    #[test]
-    fn observer_set_matches_dyn_slice_delivery() {
-        let p = program();
-        let timer = || SampleTimer::with_jitter(128, 16, 7);
-
-        let mut dyn_tea = TeaProfiler::new(timer());
-        let mut dyn_golden = GoldenReference::new();
-        let dyn_stats =
-            Core::new(&p, SimConfig::default()).run(&mut [&mut dyn_golden, &mut dyn_tea]);
-
-        let mut set = ObserverSet::new();
-        let g_at = set.push(AnyObserver::Golden(GoldenReference::new()));
-        let t_at = set.push(AnyObserver::Tea(TeaProfiler::new(timer())));
-        let set_stats = Core::new(&p, SimConfig::default()).run_with(&mut set);
-
-        assert_eq!(dyn_stats, set_stats);
-        let mut items: Vec<Option<AnyObserver>> = set.into_items().into_iter().map(Some).collect();
-        let golden = match items[g_at].take() {
-            Some(AnyObserver::Golden(g)) => g,
-            _ => panic!("golden observer lost its slot"),
-        };
-        let tea = match items[t_at].take() {
-            Some(AnyObserver::Tea(t)) => t,
-            _ => panic!("tea observer lost its slot"),
-        };
-        assert_eq!(tea.samples(), dyn_tea.samples());
-        let (set_pics, dyn_pics) = (golden.into_pics(), dyn_golden.into_pics());
-        assert_eq!(set_pics.total(), dyn_pics.total());
-        assert_eq!(set_pics.top_instructions(8), dyn_pics.top_instructions(8));
+    /// Counts every notification the core delivers.
+    #[derive(Debug, Default, PartialEq)]
+    struct Counter {
+        cycles: u64,
+        stall_runs: u64,
+        stall_cycles: u64,
+        retired: u64,
+        on_retire_calls: u64,
+        squashes: u64,
+        finishes: Vec<u64>,
     }
 
-    /// The `Dyn` escape hatch delivers every notification kind.
+    impl Observer for Counter {
+        fn on_cycle(&mut self, _view: &CycleView<'_>) {
+            self.cycles += 1;
+        }
+        fn on_retire(&mut self, _retired: &RetiredInst) {
+            self.on_retire_calls += 1;
+        }
+        fn on_commit_batch(&mut self, batch: &[RetiredInst]) {
+            self.retired += batch.len() as u64;
+        }
+        fn on_stall_run(&mut self, _view: &CycleView<'_>, n: u64) {
+            self.stall_runs += 1;
+            self.stall_cycles += n;
+        }
+        fn on_squash(&mut self, _from_seq: u64) {
+            self.squashes += 1;
+        }
+        fn on_finish(&mut self, total_cycles: u64) {
+            self.finishes.push(total_cycles);
+        }
+    }
+
+    /// Every cycle, retirement, squash and the finish reach an
+    /// observer exactly once, and a slice member sees the same
+    /// notifications as the observer run alone, batched hooks included.
     #[test]
-    fn dyn_escape_hatch_sees_the_run() {
-        #[derive(Default)]
-        struct Counter {
-            cycles: u64,
-            retired: u64,
-            finished: bool,
-        }
-        impl Observer for Counter {
-            fn on_cycle(&mut self, _v: &CycleView<'_>) {
-                self.cycles += 1;
-            }
-            fn on_retire(&mut self, _r: &RetiredInst) {
-                self.retired += 1;
-            }
-            fn on_stall_run(&mut self, _v: &CycleView<'_>, n: u64) {
-                self.cycles += n;
-            }
-            fn on_finish(&mut self, _t: u64) {
-                self.finished = true;
-            }
-        }
-        let p = program();
-        let mut set = ObserverSet::new();
-        let at = set.push(AnyObserver::Dyn(Box::new(Counter::default())));
-        let stats = Core::new(&p, SimConfig::default()).run_with(&mut set);
-        let AnyObserver::Dyn(obs) = set.into_items().swap_remove(at) else {
-            panic!("dyn observer lost its slot");
-        };
-        // The box came back; downcast by rebuilding expectations.
-        // (Counter is private to this test, so check via Observer-side
-        // effects: cycles+skipped == stats.cycles is the core's own
-        // accounting identity.)
-        drop(obs);
-        assert!(stats.cycles > 0);
+    fn one_trait_delivers_every_notification_exactly_once() {
+        let mut alone = Counter::default();
+        let (stats, stall_runs) = squash_heavy_run(&mut alone);
+        assert!(stats.squashes > 0 && stall_runs > 0, "{stats:?}");
+        assert_eq!(alone.cycles + alone.stall_cycles, stats.cycles);
+        assert_eq!(alone.stall_runs, stall_runs);
+        assert_eq!(alone.retired, stats.retired);
+        assert_eq!(alone.on_retire_calls, 0, "batches arrive whole");
+        assert_eq!(alone.squashes, stats.squashes);
+        assert_eq!(alone.finishes, [stats.cycles]);
+
+        let mut member = Counter::default();
+        let mut golden = GoldenReference::new();
+        let (slice_stats, _) =
+            squash_heavy_run::<[&mut dyn Observer]>(&mut [&mut member, &mut golden]);
+        assert_eq!(slice_stats, stats);
+        assert_eq!(member, alone);
+        assert_eq!(golden.total_cycles(), stats.cycles);
     }
 }

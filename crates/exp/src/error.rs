@@ -83,9 +83,9 @@ impl ExpError {
     }
 
     /// Whether retrying the cell could plausibly change the outcome.
-    /// Deterministic failures (bad config, architectural faults, cycle
-    /// budgets) are final; panics and injected faults may be transient
-    /// (a poisoned lock, an injected flake).
+    /// Deterministic failures (bad config, architectural faults, timing
+    /// deadlocks, cycle budgets) are final; panics and injected faults
+    /// may be transient (a poisoned lock, an injected flake).
     #[must_use]
     pub fn is_transient(&self) -> bool {
         matches!(self, ExpError::Panic { .. } | ExpError::Injected { .. })
@@ -145,5 +145,16 @@ mod tests {
         assert_eq!(panic.kind(), "panic");
         assert!(panic.is_transient());
         assert!(panic.to_string().contains("boom"));
+    }
+
+    #[test]
+    fn timing_deadlocks_are_final_not_retried() {
+        let deadlock = ExpError::Sim(SimError::Deadlock {
+            cycle: 500_300,
+            next_pc: Some(0x1_0040),
+        });
+        assert_eq!(deadlock.kind(), "sim");
+        assert!(!deadlock.is_transient(), "a deadlock recurs on retry");
+        assert!(deadlock.to_string().contains("cycle 500300"));
     }
 }

@@ -58,7 +58,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tea_core::golden::GoldenReference;
-use tea_core::observers::{AnyObserver, ObserverSet};
+use tea_core::observers::SchemeProfiler;
 use tea_core::pics::{Granularity, Pics, UnitMap};
 use tea_core::pics_error;
 use tea_core::sampling::SampleTimer;
@@ -68,6 +68,7 @@ use tea_isa::program::Program;
 use tea_obs::{Level, Value};
 use tea_sim::core::{Core, SimStats};
 use tea_sim::psv::CommitState;
+use tea_sim::trace::Observer;
 use tea_sim::{SimConfig, SimError};
 use tea_workloads::Workload;
 
@@ -1208,7 +1209,7 @@ fn run_cell_attempt(
     // observer entirely, and claim-race losers compute locally.
     let mut golden_shared = None;
     let mut golden_ticket = None;
-    let golden = if spec.golden {
+    let mut golden = if spec.golden {
         match memo.map(|m| m.golden_checkout(&spec.program, &spec.config)) {
             Some(GoldenCheckout::Shared(g)) => {
                 golden_shared = Some(g);
@@ -1223,60 +1224,40 @@ fn run_cell_attempt(
     } else {
         None
     };
-    // One statically dispatched set (ISSUE 10): every known profiler is
-    // an `AnyObserver` variant, so the run loop delivers notifications
-    // through enum matches instead of a `&mut dyn Observer` slice. Each
-    // push index is remembered so the observers can be taken back out
-    // after the run.
-    let mut set = ObserverSet::new();
-    let golden_at = golden.map(|g| set.push(AnyObserver::Golden(g)));
-    let tip_at = if spec.tip {
-        Some(set.push(AnyObserver::Tip(TipProfiler::new(timer()))))
-    } else {
-        None
-    };
-    let scheme_at: Vec<(Scheme, usize)> = spec
+    let mut tip = spec.tip.then(|| TipProfiler::new(timer()));
+    let mut scheme_obs: Vec<(Scheme, SchemeProfiler)> = spec
         .schemes
         .iter()
-        .map(|&s| (s, set.push(AnyObserver::for_scheme(s, timer()))))
+        .map(|&s| (s, SchemeProfiler::new(s, timer())))
         .collect();
-    // Last, so the injected panic never masks real observer work in
-    // the same cycle. Chaos is the one observer outside the known set;
-    // it rides the `Dyn` escape hatch at the old virtual-call cost.
-    if let Some(fault) = observer_fault {
-        set.push(AnyObserver::Dyn(Box::new(ChaosObserver::new(fault))));
-    }
+    let mut chaos = observer_fault.map(ChaosObserver::new);
     let stats = {
         let mut core =
             Core::try_new(&spec.program, spec.config.clone()).map_err(ExpError::Config)?;
+        let mut observers: Vec<&mut dyn Observer> = Vec::new();
+        if let Some(g) = golden.as_mut() {
+            observers.push(g);
+        }
+        if let Some(t) = tip.as_mut() {
+            observers.push(t);
+        }
+        for (_, obs) in &mut scheme_obs {
+            observers.push(obs);
+        }
+        // Last, so the injected panic never masks real observer work in
+        // the same cycle.
+        if let Some(c) = chaos.as_mut() {
+            observers.push(c);
+        }
+        let stats = core
+            .try_run_for(budget.unwrap_or(u64::MAX), observers.as_mut_slice())
+            .map_err(ExpError::Sim)?;
         match budget {
-            Some(max) => {
-                let stats = core
-                    .try_run_for_with(max, &mut set)
-                    .map_err(ExpError::Sim)?;
-                if !core.is_halted() {
-                    return Err(ExpError::Timeout { budget: max });
-                }
-                stats
-            }
-            None => core.try_run_with(&mut set).map_err(ExpError::Sim)?,
+            Some(max) if !core.is_halted() => return Err(ExpError::Timeout { budget: max }),
+            _ => stats,
         }
     };
     let wall = t0.elapsed();
-    // Disassemble the set back into its typed members.
-    let mut items: Vec<Option<AnyObserver>> = set.into_items().into_iter().map(Some).collect();
-    let golden = golden_at.map(|at| match items[at].take() {
-        Some(AnyObserver::Golden(g)) => g,
-        _ => unreachable!("golden observer keeps its slot"),
-    });
-    let tip = tip_at.map(|at| match items[at].take() {
-        Some(AnyObserver::Tip(t)) => t,
-        _ => unreachable!("tip observer keeps its slot"),
-    });
-    let scheme_obs: Vec<(Scheme, AnyObserver)> = scheme_at
-        .into_iter()
-        .map(|(s, at)| (s, items[at].take().expect("scheme observer keeps its slot")))
-        .collect();
     // The run succeeded: publish a claimed reference for later cells of
     // the pair, or adopt the shared one so the cell's artifact (and the
     // profiler.golden.* counters) are identical to a computed run's.
@@ -1293,14 +1274,8 @@ fn run_cell_attempt(
     let mut pics = HashMap::new();
     let mut samples = HashMap::new();
     for (scheme, obs) in scheme_obs {
-        samples.insert(
-            scheme,
-            obs.samples().expect("scheme observers count samples"),
-        );
-        pics.insert(
-            scheme,
-            obs.into_pics().expect("scheme observers produce PICS"),
-        );
+        samples.insert(scheme, obs.samples());
+        pics.insert(scheme, obs.into_pics());
     }
     Ok(CellResult {
         index,
@@ -1322,15 +1297,15 @@ fn run_cell_attempt(
 fn record_profiler_metrics(
     golden: Option<&GoldenReference>,
     tip: Option<&TipProfiler>,
-    scheme_obs: &[(Scheme, AnyObserver)],
+    scheme_obs: &[(Scheme, SchemeProfiler)],
 ) {
     let m = metrics();
     for (scheme, obs) in scheme_obs {
         let name = scheme.name();
         m.counter(&format!("profiler.{name}.samples_taken"))
-            .add(obs.samples().unwrap_or(0));
+            .add(obs.samples());
         m.counter(&format!("profiler.{name}.samples_dropped"))
-            .add(obs.pending_samples().unwrap_or(0) as u64);
+            .add(obs.pending_samples() as u64);
     }
     if let Some(t) = tip {
         m.counter("profiler.TIP.samples_taken").add(t.samples());

@@ -96,7 +96,8 @@ impl<'p> CmpSystem<'p> {
                 continue;
             }
             core.hierarchy_mut().swap_shared_levels(&mut self.shared);
-            core.run_for(1, obs);
+            core.try_run_for(1, &mut obs[..])
+                .unwrap_or_else(|e| panic!("{e}"));
             core.hierarchy_mut().swap_shared_levels(&mut self.shared);
         }
         self.cycle += 1;

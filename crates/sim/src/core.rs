@@ -14,7 +14,8 @@
 //! every cycle observers receive a [`CycleView`] — this is TEA's
 //! hardware substrate.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use tea_isa::capture::{codec, CapturedTrace};
@@ -27,9 +28,8 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::hierarchy::{HierarchyStats, MemHierarchy};
 use crate::psv::{CommitState, Event, Psv};
-use crate::queue::{wheel_cycles, CalendarQueue};
 use crate::slab::{IqKind, Ring, Slab, SlotRef};
-use crate::trace::{CycleView, DynObservers, InstRef, Observer, ObserverHost, RetiredInst};
+use crate::trace::{CycleView, InstRef, Observer, RetiredInst};
 
 /// Aggregate statistics of one simulation.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -92,27 +92,32 @@ impl SimStats {
     }
 }
 
+/// A min-heap of `(cycle, seq, idx, gen)` entries, popped in ascending
+/// full-tuple order. Squashed instructions leave stale entries behind;
+/// the slot generation check discards them when they come due, so a
+/// heap holds at most the in-flight entries plus stale ones not yet
+/// due and needs no shrinking.
+type EventHeap = BinaryHeap<Reverse<(u64, u64, u32, u32)>>;
+
 #[derive(Debug)]
 struct IssueQueue {
     cap: usize,
     width: usize,
     count: usize,
-    /// `(ready, seq, idx, gen)` calendar queue; pop order matches the
-    /// old `BinaryHeap<Reverse<_>>` exactly.
-    ready: CalendarQueue,
+    ready: EventHeap, // (ready, seq, idx, gen)
 }
 
 impl IssueQueue {
-    fn new(cap: usize, width: usize, wheel: u64) -> Self {
+    fn new(cap: usize, width: usize) -> Self {
         IssueQueue {
             cap,
             width,
             count: 0,
-            ready: CalendarQueue::new(wheel),
+            ready: BinaryHeap::new(),
         }
     }
     fn push_ready(&mut self, ready: u64, seq: u64, r: SlotRef) {
-        self.ready.push(ready, seq, r.idx, r.gen);
+        self.ready.push(Reverse((ready, seq, r.idx, r.gen)));
     }
 }
 
@@ -159,7 +164,7 @@ const STREAM_SHRINK_FLOOR: usize = 256;
 
 /// Cycles without a commit after which the run is declared a timing
 /// deadlock. Also caps the stall fast-forward jump so the deadlock
-/// assert fires at the exact cycle a ticked run would reach.
+/// check fires at the exact cycle a ticked run would reach.
 const DEADLOCK_CYCLES: u64 = 500_000;
 
 /// Correct-path instruction stream: either a live functional
@@ -359,8 +364,7 @@ pub struct Core<'p> {
     fp_sqrt_free: u64,
     ldq: Vec<LdqEntry>,
     stq: Ring<StqEntry>,
-    /// `(cycle, seq, idx, gen)` completion events.
-    events: CalendarQueue,
+    events: EventHeap, // (cycle, seq, idx, gen) completion events
 
     fetch_done: bool,
     fetch_blocked_until: u64,
@@ -483,7 +487,6 @@ impl<'p> Core<'p> {
     fn build(stream: Stream<'p>, cfg: SimConfig) -> Result<Self, SimError> {
         cfg.validate()?;
         let slot_count = cfg.rob_entries + cfg.fetch_buffer + cfg.fetch_width + 4;
-        let wheel = wheel_cycles(&cfg);
         let no_slot = SlotRef { idx: 0, gen: 0 };
         let no_store = StqEntry {
             seq: 0,
@@ -504,15 +507,15 @@ impl<'p> Core<'p> {
             fetch_buf: Ring::new(cfg.fetch_buffer, no_slot),
             rob: Ring::new(cfg.rob_entries, no_slot),
             rename: [None; 64],
-            int_q: IssueQueue::new(cfg.int_iq.entries, cfg.int_iq.issue_width, wheel),
-            mem_q: IssueQueue::new(cfg.mem_iq.entries, cfg.mem_iq.issue_width, wheel),
-            fp_q: IssueQueue::new(cfg.fp_iq.entries, cfg.fp_iq.issue_width, wheel),
+            int_q: IssueQueue::new(cfg.int_iq.entries, cfg.int_iq.issue_width),
+            mem_q: IssueQueue::new(cfg.mem_iq.entries, cfg.mem_iq.issue_width),
+            fp_q: IssueQueue::new(cfg.fp_iq.entries, cfg.fp_iq.issue_width),
             int_div_free: 0,
             fp_div_free: 0,
             fp_sqrt_free: 0,
             ldq: Vec::with_capacity(cfg.ldq_entries),
             stq: Ring::new(cfg.stq_entries, no_store),
-            events: CalendarQueue::new(wheel),
+            events: BinaryHeap::new(),
             fetch_done: false,
             fetch_blocked_until: 0,
             pending_fe_bits: Psv::empty(),
@@ -657,8 +660,11 @@ impl<'p> Core<'p> {
     #[inline(always)]
     fn process_events(&mut self) {
         let now = self.cycle;
-        self.events.advance(now);
-        while let Some((_c, _seq, idx, gen)) = self.events.pop_due() {
+        while let Some(&Reverse((c, _seq, idx, gen))) = self.events.peek() {
+            if c > now {
+                break;
+            }
+            self.events.pop();
             self.progress = true;
             let r = SlotRef { idx, gen };
             if !self.valid(r) {
@@ -900,9 +906,12 @@ impl<'p> Core<'p> {
             while issued < width {
                 let cycle = self.cycle;
                 let q = self.iq_mut(kind);
-                q.ready.advance(cycle);
-                let Some((_, seq, idx, gen)) = q.ready.pop_due() else {
-                    break;
+                let (seq, idx, gen) = match q.ready.peek() {
+                    Some(&Reverse((ready, seq, idx, gen))) if ready <= cycle => {
+                        q.ready.pop();
+                        (seq, idx, gen)
+                    }
+                    _ => break,
                 };
                 self.progress = true;
                 let r = SlotRef { idx, gen };
@@ -969,7 +978,7 @@ impl<'p> Core<'p> {
                     debug_assert_eq!(k, kind);
                     self.iq_mut(kind).count -= 1;
                 }
-                self.events.push(complete, seq, idx, gen);
+                self.events.push(Reverse((complete, seq, idx, gen)));
                 issued += 1;
             }
         }
@@ -1248,7 +1257,7 @@ impl<'p> Core<'p> {
     /// again: the soonest pending completion event, issue-queue ready
     /// time, store-queue front drain, or fetch unblock. `u64::MAX`
     /// means nothing is in flight at all (a true deadlock — the jump
-    /// then lands on the deadlock-assert cycle).
+    /// then lands on the deadlock-check cycle).
     ///
     /// The bound is a *lower* bound on the next state change, never an
     /// exact prediction: stale heap entries (squashed instructions) may
@@ -1266,11 +1275,11 @@ impl<'p> Core<'p> {
                 bound = bound.min(c);
             }
         }
-        if let Some(c) = self.events.next_cycle() {
+        if let Some(&Reverse((c, ..))) = self.events.peek() {
             bound = bound.min(c);
         }
         for q in [&self.int_q, &self.mem_q, &self.fp_q] {
-            if let Some(ready) = q.ready.next_cycle() {
+            if let Some(&Reverse((ready, ..))) = q.ready.peek() {
                 bound = bound.min(ready);
             }
         }
@@ -1294,95 +1303,35 @@ impl<'p> Core<'p> {
         bound
     }
 
-    /// Runs to completion (the program's `halt` committing), driving the
-    /// observers, and returns the run's statistics.
+    /// Runs to completion (the program's `halt` committing), driving
+    /// every observer of the slice in order, and returns the run's
+    /// statistics. Equivalent to [`Core::run_with`] over the slice.
     ///
     /// # Panics
     ///
-    /// Panics if the program faults architecturally (see
-    /// [`Core::try_run`]), the core makes no forward progress for an
-    /// extended period (a timing-model bug), or the program never halts
-    /// within `u64::MAX` cycles.
+    /// As [`Core::run_with`].
     pub fn run(&mut self, observers: &mut [&mut dyn Observer]) -> SimStats {
-        self.run_for(u64::MAX, observers)
+        self.run_with(observers)
     }
 
-    /// Runs for at most `max_cycles`, driving the observers.
+    /// Runs to completion, driving `observer`, and returns the run's
+    /// statistics. Generic over the observer, so a concrete type's
+    /// hooks inline into the cycle loop.
     ///
     /// # Panics
     ///
-    /// Panics if the program faults architecturally (see
-    /// [`Core::try_run_for`]) or the core makes no forward progress for
-    /// an extended period.
-    pub fn run_for(&mut self, max_cycles: u64, observers: &mut [&mut dyn Observer]) -> SimStats {
-        self.run_for_with(max_cycles, &mut DynObservers(observers))
-    }
-
-    /// Runs to completion, surfacing architectural program faults as
-    /// values.
-    ///
-    /// # Errors
-    ///
-    /// See [`Core::try_run_for`].
-    pub fn try_run(&mut self, observers: &mut [&mut dyn Observer]) -> Result<SimStats, SimError> {
-        self.try_run_for(u64::MAX, observers)
-    }
-
-    /// Runs for at most `max_cycles`, driving the observers, surfacing
-    /// architectural program faults as values.
-    ///
-    /// # Errors
-    ///
-    /// See [`Core::try_run_for_with`].
-    pub fn try_run_for(
-        &mut self,
-        max_cycles: u64,
-        observers: &mut [&mut dyn Observer],
-    ) -> Result<SimStats, SimError> {
-        self.try_run_for_with(max_cycles, &mut DynObservers(observers))
-    }
-
-    /// [`Core::run`] against a statically typed [`ObserverHost`] (a
-    /// single observer, or an enum-dispatched set): observer delivery
-    /// monomorphizes into the cycle loop instead of going through the
-    /// `dyn Observer` vtable.
-    ///
-    /// # Panics
-    ///
-    /// As [`Core::run`].
-    pub fn run_with<H: ObserverHost + ?Sized>(&mut self, host: &mut H) -> SimStats {
-        self.run_for_with(u64::MAX, host)
-    }
-
-    /// [`Core::run_for`] against a statically typed [`ObserverHost`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Core::run_for`].
-    pub fn run_for_with<H: ObserverHost + ?Sized>(
-        &mut self,
-        max_cycles: u64,
-        host: &mut H,
-    ) -> SimStats {
-        self.try_run_for_with(max_cycles, host)
+    /// Panics with the error's message if [`Core::try_run_for`] fails:
+    /// the program faults architecturally, or the core makes no forward
+    /// progress for an extended period (a timing-model bug).
+    pub fn run_with<O: Observer + ?Sized>(&mut self, observer: &mut O) -> SimStats {
+        self.try_run_for(u64::MAX, observer)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Core::try_run`] against a statically typed [`ObserverHost`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Core::try_run_for_with`].
-    pub fn try_run_with<H: ObserverHost + ?Sized>(
-        &mut self,
-        host: &mut H,
-    ) -> Result<SimStats, SimError> {
-        self.try_run_for_with(u64::MAX, host)
-    }
-
-    /// Runs for at most `max_cycles`, driving an [`ObserverHost`],
-    /// surfacing architectural program faults as values. This is the
-    /// engine's one cycle loop; every other run entry point wraps it.
+    /// Runs for at most `max_cycles`, driving `observer`. This is the
+    /// core's one cycle loop; [`Core::run_with`] and [`Core::run`] wrap
+    /// it. A run can be split into any number of budgeted calls with
+    /// the same result as one call.
     ///
     /// # Errors
     ///
@@ -1391,11 +1340,13 @@ impl<'p> Core<'p> {
     /// text segment through a wild `jalr`. The error carries the
     /// instruction context; statistics accumulated so far are kept on
     /// the core but not returned. Returns [`SimError::Trace`] when a
-    /// replayed trace fails integrity checks mid-run.
-    pub fn try_run_for_with<H: ObserverHost + ?Sized>(
+    /// replayed trace fails integrity checks mid-run, and
+    /// [`SimError::Deadlock`] when no instruction commits for
+    /// 500,000 cycles.
+    pub fn try_run_for<O: Observer + ?Sized>(
         &mut self,
         max_cycles: u64,
-        host: &mut H,
+        observer: &mut O,
     ) -> Result<SimStats, SimError> {
         // One span per run segment (never per cycle): the frame the
         // obs sampler's folded stacks attribute simulation time to.
@@ -1419,7 +1370,7 @@ impl<'p> Core<'p> {
             }
             // Squash notifications precede the cycle view so profilers
             // re-key delayed samples before attributing this cycle.
-            self.notify_squashes(host);
+            self.notify_squashes(observer);
             let view = CycleView {
                 cycle: self.cycle,
                 state: snapshot.state,
@@ -1430,9 +1381,9 @@ impl<'p> Core<'p> {
                 dispatched: &self.dispatched_buf,
                 fetched: &self.fetched_buf,
             };
-            host.deliver_cycle(&view);
+            observer.on_cycle(&view);
             if !self.retired_buf.is_empty() {
-                host.deliver_commit_batch(&self.retired_buf);
+                observer.on_commit_batch(&self.retired_buf);
             }
             // Probe before cloning: the clone of the (almost always
             // absent) error used to run every cycle.
@@ -1445,18 +1396,20 @@ impl<'p> Core<'p> {
                     StreamError::Trace(e) => SimError::Trace(e),
                 });
             }
-            assert!(
-                self.cycle - self.last_commit_cycle < DEADLOCK_CYCLES,
-                "no commit for 500k cycles at cycle {} (pc of next inst: {:?}): timing deadlock",
-                self.cycle,
-                self.stream.get(self.cursor).map(|d| d.pc)
-            );
+            if self.cycle - self.last_commit_cycle >= DEADLOCK_CYCLES {
+                self.stats.hier = self.hier.stats();
+                self.stats.branch = self.bp.stats();
+                return Err(SimError::Deadlock {
+                    cycle: self.cycle,
+                    next_pc: self.stream.get(self.cursor).map(|d| d.pc),
+                });
+            }
             // Stall fast-forward: a quiescent cycle (no state change in
             // any pipeline phase, nothing committed/dispatched/fetched)
             // repeats identically until the earliest pending event, so
             // jump there instead of simulating the copies. The jump is
             // additionally bounded by the next sampling-interrupt fire,
-            // the deadlock assert, and the `max_cycles` budget, all of
+            // the deadlock check, and the `max_cycles` budget, all of
             // which must land on the exact cycle a ticked run reaches.
             let mut step = 1;
             if self.cfg.fast_forward
@@ -1503,7 +1456,7 @@ impl<'p> Core<'p> {
                         dispatched: &self.dispatched_buf,
                         fetched: &self.fetched_buf,
                     };
-                    host.deliver_stall_run(&view, n);
+                    observer.on_stall_run(&view, n);
                     self.skipped_cycles += n;
                     self.stall_runs += 1;
                     step = n + 1;
@@ -1517,8 +1470,8 @@ impl<'p> Core<'p> {
         if self.halt_committed {
             // A squash raised in the halt-committing cycle's later
             // pipeline phases must still reach observers.
-            self.notify_squashes(host);
-            host.deliver_finish(self.stats.cycles);
+            self.notify_squashes(observer);
+            observer.on_finish(self.stats.cycles);
             #[cfg(feature = "obs")]
             self.publish_obs_metrics();
         }
@@ -1563,12 +1516,12 @@ impl<'p> Core<'p> {
     /// Delivers (and drains) any buffered squash notifications to every
     /// observer. No-op when nothing was squashed, so the per-cycle call
     /// costs one emptiness check.
-    fn notify_squashes<H: ObserverHost + ?Sized>(&mut self, host: &mut H) {
+    fn notify_squashes<O: Observer + ?Sized>(&mut self, observer: &mut O) {
         if self.squashed_buf.is_empty() {
             return;
         }
         for &from_seq in &self.squashed_buf {
-            host.deliver_squash(from_seq);
+            observer.on_squash(from_seq);
         }
         self.squashed_buf.clear();
     }
@@ -1687,6 +1640,7 @@ pub fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::NullObserver;
     use tea_isa::asm::Asm;
 
     fn looped_program(iters: i64) -> Program {
@@ -1721,11 +1675,11 @@ mod tests {
         a.halt();
         let p = a.finish().unwrap();
         let live_err = Core::new(&p, SimConfig::default())
-            .try_run(&mut [])
+            .try_run_for(u64::MAX, &mut NullObserver)
             .expect_err("pc escapes");
         let trace = Arc::new(CapturedTrace::capture(&p, 1 << 20).unwrap());
         let replay_err = Core::with_trace(&p, trace, SimConfig::default())
-            .try_run(&mut [])
+            .try_run_for(u64::MAX, &mut NullObserver)
             .expect_err("replay reproduces the fault");
         assert_eq!(format!("{live_err}"), format!("{replay_err}"));
     }
@@ -1739,7 +1693,7 @@ mod tests {
         // replay wrong instructions.
         let trace = Arc::new(pristine.with_flipped_byte(pristine.encoded_len() / 2, 0x40));
         let err = Core::with_trace(&p, trace, SimConfig::default())
-            .try_run(&mut [])
+            .try_run_for(u64::MAX, &mut NullObserver)
             .expect_err("corrupt trace must not replay");
         assert!(
             matches!(err, SimError::Trace(_)),
@@ -1871,8 +1825,12 @@ mod tests {
     fn max_cycles_budget_lands_on_the_exact_cycle() {
         let p = strided_program(5_000);
         for budget in [1_000u64, 7_777, 33_333] {
-            let a = Core::new(&p, ticked(true)).run_for(budget, &mut []);
-            let b = Core::new(&p, ticked(false)).run_for(budget, &mut []);
+            let a = Core::new(&p, ticked(true))
+                .try_run_for(budget, &mut NullObserver)
+                .unwrap();
+            let b = Core::new(&p, ticked(false))
+                .try_run_for(budget, &mut NullObserver)
+                .unwrap();
             assert_eq!(a, b, "budget {budget}");
             assert!(a.cycles <= budget);
         }
@@ -1901,7 +1859,7 @@ mod tests {
 
     /// Empties every completion source so the core can never commit
     /// again: the ROB head waits for an event that will never arrive.
-    /// Drives the timing-deadlock assert deterministically — the only
+    /// Drives the timing-deadlock check deterministically — the only
     /// way to reach it from a correct timing model is surgery like
     /// this.
     fn starve(core: &mut Core<'_>) {
@@ -1911,20 +1869,42 @@ mod tests {
         core.fp_q.ready.clear();
     }
 
+    /// A core simulated for 300 cycles, then starved.
+    fn starved_core(p: &Program, fast_forward: bool) -> Core<'_> {
+        let mut core = Core::new(p, ticked(fast_forward));
+        core.try_run_for(300, &mut NullObserver).unwrap();
+        starve(&mut core);
+        core
+    }
+
+    #[test]
+    fn deadlock_is_a_typed_error_at_the_same_cycle_under_fast_forward() {
+        // The strided loop, not the store loop: its branches predict
+        // perfectly mid-run, so no squash ever re-dispatches (and
+        // thereby revives) the starved instructions.
+        let p = strided_program(100_000);
+        let deadlock = |fast_forward: bool| {
+            let mut core = starved_core(&p, fast_forward);
+            let err = core
+                .try_run_for(u64::MAX, &mut NullObserver)
+                .expect_err("starved core must deadlock");
+            let SimError::Deadlock { cycle, .. } = err else {
+                panic!("expected SimError::Deadlock, got {err:?}");
+            };
+            assert_eq!(cycle, core.cycle());
+            err
+        };
+        let ff = deadlock(true);
+        assert_eq!(ff, deadlock(false));
+    }
+
     #[test]
     fn deadlock_assert_fires_at_the_same_cycle_under_fast_forward() {
+        let p = strided_program(100_000);
         let panic_msg = |fast_forward: bool| {
-            // The strided loop, not the store loop: its branches predict
-            // perfectly mid-run, so no squash ever re-dispatches (and
-            // thereby revives) the starved instructions.
-            let p = strided_program(100_000);
-            let mut core = Core::new(&p, ticked(fast_forward));
-            core.run_for(300, &mut []);
-            starve(&mut core);
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                core.run_for(u64::MAX, &mut [])
-            }))
-            .expect_err("starved core must hit the deadlock assert");
+            let mut core = starved_core(&p, fast_forward);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| core.run(&mut [])))
+                .expect_err("starved core must hit the deadlock assert");
             *err.downcast::<String>().expect("assert message")
         };
         let ff = panic_msg(true);

@@ -1,9 +1,10 @@
 //! Structured errors for the timing simulator.
 //!
 //! Configuration problems are caught by [`crate::config::SimConfig::validate`]
-//! before a core is built, and runtime program faults (a program counter
-//! escaping the text segment) surface as [`SimError::Isa`] from
-//! [`crate::core::Core::try_run_for`]. The experiment engine wraps both
+//! before a core is built. Runtime failures surface from
+//! [`crate::core::Core::try_run_for`]: a program fault (a program
+//! counter escaping the text segment) as [`SimError::Isa`], and a
+//! timing-model deadlock as [`SimError::Deadlock`]. The experiment engine wraps both
 //! in `ExpError` so one bad cell fails alone instead of tearing down a
 //! whole suite.
 
@@ -29,6 +30,15 @@ pub enum SimError {
     /// [`SimError::Isa`] this says nothing about the program: the same
     /// run under live interpretation can still succeed.
     Trace(TraceError),
+    /// No instruction committed for 500,000 cycles: a timing-model
+    /// bug, not a property of the program. Deterministic, so the same
+    /// run deadlocks again at the same cycle.
+    Deadlock {
+        /// Cycle at which the deadlock was declared.
+        cycle: u64,
+        /// Address of the next instruction to fetch, if any.
+        next_pc: Option<u64>,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -39,6 +49,11 @@ impl fmt::Display for SimError {
             }
             SimError::Isa(e) => write!(f, "program fault: {e}"),
             SimError::Trace(e) => write!(f, "replay trace corrupt: {e}"),
+            SimError::Deadlock { cycle, next_pc } => write!(
+                f,
+                "no commit for 500k cycles at cycle {cycle} (pc of next inst: {next_pc:?}): \
+                 timing deadlock"
+            ),
         }
     }
 }
@@ -48,7 +63,7 @@ impl Error for SimError {
         match self {
             SimError::Isa(e) => Some(e),
             SimError::Trace(e) => Some(e),
-            SimError::InvalidConfig { .. } => None,
+            SimError::InvalidConfig { .. } | SimError::Deadlock { .. } => None,
         }
     }
 }

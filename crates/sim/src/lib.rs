@@ -14,6 +14,12 @@
 //! events of the paper's Table 1. Profiling schemes (TEA and its
 //! baselines) are implemented in the `tea-core` crate as observers.
 //!
+//! One cycle loop, [`Core::try_run_for`], drives one observer contract.
+//! It is generic over the [`Observer`] it drives: [`Core::run_with`]
+//! runs a single concrete observer to completion with its hooks
+//! monomorphised into the loop, and [`Core::run`] runs an ordered
+//! `&mut [&mut dyn Observer]` slice, which is itself an `Observer`.
+//!
 //! # Example
 //!
 //! ```
@@ -51,7 +57,6 @@ pub mod core;
 pub mod error;
 pub mod hierarchy;
 pub mod psv;
-pub mod queue;
 mod slab;
 pub mod smt;
 pub mod system;
@@ -62,4 +67,4 @@ pub use crate::core::{simulate, Core, CycleBreakdown, SimStats};
 pub use config::SimConfig;
 pub use error::SimError;
 pub use psv::{CommitState, Event, Psv};
-pub use trace::{CycleView, DynObservers, InstRef, Observer, ObserverHost, RetiredInst};
+pub use trace::{CycleView, InstRef, Observer, RetiredInst};

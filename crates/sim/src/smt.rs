@@ -134,7 +134,8 @@ impl<'p> SmtCore<'p> {
             let core = &mut self.threads[tid];
             core.advance_clock_to(self.cycle);
             std::mem::swap(core.hierarchy_mut(), &mut self.shared);
-            core.run_for(1, &mut observers[tid]);
+            core.try_run_for(1, &mut observers[tid][..])
+                .unwrap_or_else(|e| panic!("{e}"));
             std::mem::swap(core.hierarchy_mut(), &mut self.shared);
         }
         self.cycle += 1;

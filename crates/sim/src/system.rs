@@ -113,7 +113,8 @@ impl<'p> System<'p> {
             core.interrupt_flush(self.switch_penalty);
         }
         std::mem::swap(&mut self.shared, core.hierarchy_mut());
-        core.run_for(self.slice, observers);
+        core.try_run_for(self.slice, observers)
+            .unwrap_or_else(|e| panic!("{e}"));
         std::mem::swap(&mut self.shared, core.hierarchy_mut());
         self.global_clock = self.global_clock.max(core.cycle());
         self.last_ran = Some(pid);

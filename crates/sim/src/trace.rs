@@ -9,6 +9,10 @@
 //! NCI-TEA, IBS, SPE, RIS and the golden reference) are implemented as
 //! observers in the `tea-core` crate, which guarantees they sample the
 //! exact same cycles.
+//!
+//! [`Observer`] is the only delivery contract. A set of observers is
+//! an ordered `[&mut dyn Observer]` slice, which implements `Observer`
+//! by fanning each notification out in order.
 
 use tea_isa::ExecClass;
 
@@ -184,86 +188,43 @@ impl Observer for NullObserver {
     fn on_retire(&mut self, _retired: &RetiredInst) {}
 }
 
-/// The simulation loop's delivery target: one value receiving every
-/// notification of a run.
+/// An ordered set of observers is itself one observer: each
+/// notification fans out to the members in slice order. Batched hooks
+/// are forwarded whole, so each member's `on_commit_batch` and
+/// `on_stall_run` override (not the per-item default) handles them.
 ///
-/// [`Core::run_with`](crate::Core::run_with) and friends are generic
-/// over this trait, so a statically typed host — a single concrete
-/// observer, or an enum-dispatched set like `tea-core`'s
-/// `ObserverSet` — lets `deliver_cycle`/`deliver_commit_batch`/
-/// `deliver_stall_run` inline into the cycle loop with no virtual
-/// calls. The blanket implementation makes every [`Observer`] a host of
-/// itself, and [`DynObservers`] adapts the classic
-/// `&mut [&mut dyn Observer]` slice, which remains the public `run`
-/// API.
-pub trait ObserverHost {
-    /// Delivers one cycle's [`CycleView`]; see [`Observer::on_cycle`].
-    fn deliver_cycle(&mut self, view: &CycleView<'_>);
-    /// Delivers one cycle's retirements; see
-    /// [`Observer::on_commit_batch`].
-    fn deliver_commit_batch(&mut self, batch: &[RetiredInst]);
-    /// Delivers a fast-forwarded stall run; see
-    /// [`Observer::on_stall_run`].
-    fn deliver_stall_run(&mut self, view: &CycleView<'_>, n: u64);
-    /// Delivers a pipeline squash; see [`Observer::on_squash`].
-    fn deliver_squash(&mut self, from_seq: u64);
-    /// Delivers the end of the run; see [`Observer::on_finish`].
-    fn deliver_finish(&mut self, total_cycles: u64);
-}
-
-impl<T: Observer + ?Sized> ObserverHost for T {
-    #[inline]
-    fn deliver_cycle(&mut self, view: &CycleView<'_>) {
-        self.on_cycle(view);
-    }
-    #[inline]
-    fn deliver_commit_batch(&mut self, batch: &[RetiredInst]) {
-        self.on_commit_batch(batch);
-    }
-    #[inline]
-    fn deliver_stall_run(&mut self, view: &CycleView<'_>, n: u64) {
-        self.on_stall_run(view, n);
-    }
-    #[inline]
-    fn deliver_squash(&mut self, from_seq: u64) {
-        self.on_squash(from_seq);
-    }
-    #[inline]
-    fn deliver_finish(&mut self, total_cycles: u64) {
-        self.on_finish(total_cycles);
-    }
-}
-
-/// [`ObserverHost`] over a slice of boxed-or-borrowed dynamic
-/// observers: each notification loops over the slice through the
-/// vtable. This is the escape hatch behind the classic
-/// [`Core::run`](crate::Core::run) signature; hosts that know their
-/// observer set statically skip it.
-pub struct DynObservers<'r, 'o>(pub &'r mut [&'o mut dyn Observer]);
-
-impl ObserverHost for DynObservers<'_, '_> {
-    fn deliver_cycle(&mut self, view: &CycleView<'_>) {
-        for obs in self.0.iter_mut() {
+/// This is what [`Core::run`](crate::Core::run) drives; a caller with a
+/// single concrete observer passes it to
+/// [`Core::run_with`](crate::Core::run_with) directly and the delivery
+/// monomorphises into the cycle loop.
+impl Observer for [&mut dyn Observer] {
+    fn on_cycle(&mut self, view: &CycleView<'_>) {
+        for obs in self.iter_mut() {
             obs.on_cycle(view);
         }
     }
-    fn deliver_commit_batch(&mut self, batch: &[RetiredInst]) {
-        for obs in self.0.iter_mut() {
+    fn on_retire(&mut self, retired: &RetiredInst) {
+        for obs in self.iter_mut() {
+            obs.on_retire(retired);
+        }
+    }
+    fn on_commit_batch(&mut self, batch: &[RetiredInst]) {
+        for obs in self.iter_mut() {
             obs.on_commit_batch(batch);
         }
     }
-    fn deliver_stall_run(&mut self, view: &CycleView<'_>, n: u64) {
-        for obs in self.0.iter_mut() {
+    fn on_stall_run(&mut self, view: &CycleView<'_>, n: u64) {
+        for obs in self.iter_mut() {
             obs.on_stall_run(view, n);
         }
     }
-    fn deliver_squash(&mut self, from_seq: u64) {
-        for obs in self.0.iter_mut() {
+    fn on_squash(&mut self, from_seq: u64) {
+        for obs in self.iter_mut() {
             obs.on_squash(from_seq);
         }
     }
-    fn deliver_finish(&mut self, total_cycles: u64) {
-        for obs in self.0.iter_mut() {
+    fn on_finish(&mut self, total_cycles: u64) {
+        for obs in self.iter_mut() {
             obs.on_finish(total_cycles);
         }
     }

@@ -9,6 +9,7 @@ use tea_core::pics::{Granularity, Pics, UnitMap};
 use tea_core::pics_error;
 use tea_sim::core::{simulate, Core};
 use tea_sim::psv::{CommitState, Event, Psv};
+use tea_sim::trace::NullObserver;
 use tea_sim::SimConfig;
 use tea_workloads::synth;
 
@@ -164,7 +165,7 @@ fn incremental_run_for_matches_single_run() {
     let mut guard = 0;
     loop {
         let before = core.stats().cycles;
-        core.run_for(1000, &mut []);
+        core.try_run_for(1000, &mut NullObserver).unwrap();
         if core.stats().cycles == before || core.stats().retired == one.retired {
             break;
         }
